@@ -23,12 +23,6 @@ from .encoder import (
     Measurement,
     SimRun,
     STAGE_NAMES,
-    amplitude_triads,
-    build_amplitude_encoding,
-    build_basis_collapse,
-    build_branch_labeling,
-    build_phase_encoding,
-    build_superposition,
     compile_circuit,
     parse_circuit,
     simulate,
@@ -42,37 +36,30 @@ from .errors import (
     TargetFileError,
     VerificationError,
 )
-from .gates import MCX, Gate, Hadamard, PauliX, PhaseK, gate_qubits
+from .gates import MCX, Gate, Hadamard, PhaseK, gate_qubits
 from .layout import RegisterLayout
 from .oracle import (
-    Component,
     StagePrediction,
     naive_success_probability,
-    phase_word_factor,
     predict_stage,
     run_projector_path,
-    tagged_work_values,
 )
-from .resources import COST_MODEL, ResourceReport, StageTally, analyze, gate_cost
-from .statevector import DEFAULT_MAX_QUBITS, StateVector, align_phase
+from .resources import ResourceReport, analyze
+from .statevector import StateVector, align_phase
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BitPlan",
     "BitprepError",
-    "COST_MODEL",
     "CapacityError",
     "Circuit",
     "CircuitFormatError",
-    "Component",
-    "DEFAULT_MAX_QUBITS",
     "EntanglementError",
     "Gate",
     "Hadamard",
     "MCX",
     "Measurement",
-    "PauliX",
     "PhaseK",
     "PrecisionError",
     "RegisterLayout",
@@ -80,31 +67,21 @@ __all__ = [
     "STAGE_NAMES",
     "SimRun",
     "StagePrediction",
-    "StageTally",
     "StateVector",
     "TargetFileError",
     "TargetState",
     "VerificationError",
     "align_phase",
-    "amplitude_triads",
     "analyze",
-    "build_amplitude_encoding",
-    "build_basis_collapse",
-    "build_branch_labeling",
-    "build_phase_encoding",
-    "build_superposition",
     "compile_circuit",
     "decompose",
     "fidelity",
-    "gate_cost",
     "gate_qubits",
     "naive_success_probability",
     "parse_circuit",
-    "phase_word_factor",
     "predict_stage",
     "reconstruct",
     "run_projector_path",
     "simulate",
     "smallest_viable_precision",
-    "tagged_work_values",
 ]

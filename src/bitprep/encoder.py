@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .bitplan import BitPlan
 from .errors import CircuitFormatError
-from .gates import MCX, Gate, Hadamard, PauliX, PhaseK, gate_qubits
+from .gates import MCX, Gate, Hadamard, PhaseK, gate_qubits
 from .layout import RegisterLayout
 from .statevector import StateVector
 
@@ -110,8 +110,6 @@ def _gate_line(gate: Gate) -> str:
         return f"H {gate.target}"
     if isinstance(gate, PhaseK):
         return f"P {gate.k} {gate.target}"
-    if isinstance(gate, PauliX):
-        return f"MCX {gate.target}"
     if isinstance(gate, MCX):
         controls = "".join(
             f"{'+' if bit else '-'}{qubit} " for qubit, bit in gate.controls
@@ -145,7 +143,7 @@ def amplitude_triads(plan: BitPlan, layout: RegisterLayout, *, peephole: bool = 
         column = plan.amp_bits[:, k]
         if peephole and int(column.sum()) == labels:
             # every label participates, so the mark is unconditional
-            mark: list[Gate] = [PauliX(layout.scratch)]
+            mark: list[Gate] = [MCX((), layout.scratch)]
         else:
             mark = [
                 MCX(layout.system_pattern(j), layout.scratch)

@@ -24,11 +24,6 @@ class PhaseK:
 
 
 @dataclass(frozen=True)
-class PauliX:
-    target: int
-
-
-@dataclass(frozen=True)
 class MCX:
     """X on ``target`` where every control qubit matches its polarity.
 
@@ -53,7 +48,7 @@ class MCX:
             raise ValueError(f"target {self.target} is also a control")
 
 
-Gate = Union[Hadamard, PhaseK, PauliX, MCX]
+Gate = Union[Hadamard, PhaseK, MCX]
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:

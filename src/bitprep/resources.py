@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .bitplan import BitPlan
 from .encoder import Circuit
-from .gates import MCX, Gate, Hadamard, PauliX, PhaseK
+from .gates import MCX, Gate, Hadamard, PhaseK
 
 COST_MODEL = "single-qubit gates cost 1; MCX with c controls costs max(1, 2c - 1); depth is the sequential cost sum"
 
@@ -26,6 +26,8 @@ def gate_cost(gate: Gate) -> int:
 
 @dataclass(frozen=True)
 class StageTally:
+    """Gate counts of one stage; ``x`` counts MCX gates with no controls."""
+
     hadamard: int = 0
     phase: int = 0
     x: int = 0
@@ -101,7 +103,7 @@ def analyze(circuit: Circuit, plan: BitPlan) -> ResourceReport:
                 hadamard += 1
             elif isinstance(gate, PhaseK):
                 phase += 1
-            elif isinstance(gate, PauliX):
+            elif not gate.controls:
                 x += 1
             else:
                 mcx += 1

@@ -1,11 +1,16 @@
 """Dense statevector over the full register and its primitive updates.
 
 Amplitudes live in one contiguous complex128 array of length
-2**layout.total, indexed so that qubit q carries bit 2**(total-1-q).
-Gate and projector application mutate the array in place and never touch
-more memory than the affected subspace; post-selection returns a fresh
-vector.  A single StateVector must only ever be written from one thread,
-but distinct vectors are independent.
+2**layout.total.  One addressing rule holds throughout: qubit q is axis
+q of ``amplitudes.reshape((2,) * total)``, so qubit 0 is the most
+significant bit of a basis index.  Fixing some qubits to bits is a basic
+slice of that tensor, and every kernel works on such writable views, so
+no index arrays are built; single-qubit gates merge the axes on either
+side of the target, ``reshape(2**q, 2, -1)``.  Gate and projector
+application mutate the array in place and never touch more memory than
+the affected subspace; post-selection returns a fresh vector.  A single
+StateVector must only ever be written from one thread, but distinct
+vectors are independent.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, EntanglementError
-from .gates import MCX, Gate, Hadamard, PauliX, PhaseK
+from .gates import MCX, Gate, Hadamard, PhaseK
 from .layout import RegisterLayout
 
 Array = np.ndarray
@@ -23,26 +28,6 @@ Array = np.ndarray
 DEFAULT_MAX_QUBITS = 26
 
 _SQRT_HALF = 2.0 ** -0.5
-
-
-def _spread_indices(total: int, fixed: Sequence[tuple[int, int]]) -> Array:
-    """All basis indices whose fixed bit positions hold the given bits.
-
-    ``fixed`` pairs are (bit position, bit value).  The remaining
-    positions are enumerated by spreading a counter across them, so cost
-    scales with the subspace size, not with 2**total.
-    """
-    taken = 0
-    base = 0
-    for pos, bit in fixed:
-        taken |= 1 << pos
-        base |= bit << pos
-    free = [p for p in range(total) if not (taken >> p) & 1]
-    out = np.full(1 << len(free), base, dtype=np.int64)
-    counter = np.arange(1 << len(free), dtype=np.int64)
-    for i, pos in enumerate(free):
-        out |= ((counter >> i) & 1) << pos
-    return out
 
 
 class StateVector:
@@ -99,8 +84,7 @@ class StateVector:
 
     def probability(self, pattern: Iterable[tuple[int, int]]) -> float:
         """Squared norm of the components matching a (qubit, bit) pattern."""
-        fixed = self._fixed(pattern)
-        matched = self.amplitudes[_spread_indices(self.layout.total, fixed)]
+        matched = self._view(pattern)
         return float(np.real(np.vdot(matched, matched)))
 
     # ------------------------------------------------------------------
@@ -112,8 +96,6 @@ class StateVector:
             self._hadamard(gate.target)
         elif isinstance(gate, PhaseK):
             self._phase(gate.target, gate.k)
-        elif isinstance(gate, PauliX):
-            self._mcx((), gate.target)
         elif isinstance(gate, MCX):
             self._mcx(gate.controls, gate.target)
         else:
@@ -139,43 +121,32 @@ class StateVector:
 
         This is the gate-free path used to cross-check compiled circuits.
         """
-        cleaned: list[tuple[dict[int, int], list[tuple[int, int]], int]] = []
+        cleaned: list[tuple[dict[int, int], tuple[int, ...]]] = []
         for pattern, targets in terms:
-            fixed = self._fixed(pattern)
-            required = dict(fixed)
-            target_mask = 0
-            for qubit in targets:
-                pos = self.layout.total - 1 - qubit
+            required = self._fixed(pattern)
+            flipped = tuple(targets)
+            for i, qubit in enumerate(flipped):
                 self._check_qubit(qubit)
-                if pos in required:
+                if qubit in required:
                     raise ValueError(
                         f"projector term targets qubit {qubit} fixed by its own pattern"
                     )
-                bit = 1 << pos
-                if target_mask & bit:
+                if qubit in flipped[:i]:
                     raise ValueError(f"duplicate target qubit {qubit}")
-                target_mask |= bit
-            cleaned.append((required, fixed, target_mask))
+            cleaned.append((required, flipped))
 
         for i in range(len(cleaned)):
             for j in range(i + 1, len(cleaned)):
                 a, b = cleaned[i][0], cleaned[j][0]
-                if not any(pos in b and b[pos] != bit for pos, bit in a.items()):
+                if not any(q in b and b[q] != bit for q, bit in a.items()):
                     raise ValueError(
                         "projector patterns overlap; terms must be mutually orthogonal"
                     )
 
-        amps = self.amplitudes
-        for _, fixed, target_mask in cleaned:
-            if target_mask == 0:
-                continue
-            matched = _spread_indices(self.layout.total, fixed)
-            partner = matched ^ target_mask
-            src = matched[matched < partner]
-            dst = src ^ target_mask
-            swapped = amps[src]
-            amps[src] = amps[dst]
-            amps[dst] = swapped
+        # targets commute and sit outside the pattern: one swap each
+        for required, flipped in cleaned:
+            for qubit in flipped:
+                self._mcx(required.items(), qubit)
         return self
 
     # ------------------------------------------------------------------
@@ -195,17 +166,16 @@ class StateVector:
         ValueError
             If the pattern is empty or the projection has no support.
         """
-        fixed = self._fixed(pattern)
-        if not fixed:
+        pattern = tuple(pattern)
+        if not pattern:
             raise ValueError("post-selection pattern is empty")
-        matched = _spread_indices(self.layout.total, fixed)
-        kept = self.amplitudes[matched]
+        kept = self._view(pattern)
         probability = float(np.real(np.vdot(kept, kept)))
         if probability == 0.0:
             raise ValueError("post-selection pattern has no support in the state")
-        out = np.zeros_like(self.amplitudes)
-        out[matched] = kept / np.sqrt(probability)
-        return StateVector(self.layout, out), probability
+        out = StateVector(self.layout, np.zeros_like(self.amplitudes))
+        out._view(pattern)[...] = kept / np.sqrt(probability)
+        return out, probability
 
     def extract(self, qubits: Sequence[int], tol: float = 1e-10) -> Array:
         """Read the state of a subsystem that must be unentangled.
@@ -271,46 +241,51 @@ class StateVector:
                 f"qubit {qubit} outside register of {self.layout.total} qubits"
             )
 
-    def _fixed(self, pattern: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-        fixed: list[tuple[int, int]] = []
-        seen: set[int] = set()
+    def _fixed(self, pattern: Iterable[tuple[int, int]]) -> dict[int, int]:
+        fixed: dict[int, int] = {}
         for qubit, bit in pattern:
             self._check_qubit(qubit)
             if bit not in (0, 1):
                 raise ValueError(f"pattern bit for qubit {qubit} must be 0 or 1")
-            if qubit in seen:
+            if qubit in fixed:
                 raise ValueError(f"qubit {qubit} appears twice in pattern")
-            seen.add(qubit)
-            fixed.append((self.layout.total - 1 - qubit, bit))
+            fixed[qubit] = bit
         return fixed
+
+    def _view(self, pattern: Iterable[tuple[int, int]]) -> Array:
+        """Writable view of the amplitudes matching a (qubit, bit) pattern.
+
+        Its axes are the unfixed qubits in ascending order.
+        """
+        index: list[int | slice] = [slice(None)] * self.layout.total
+        for qubit, bit in self._fixed(pattern).items():
+            index[qubit] = bit
+        return self.amplitudes.reshape((2,) * self.layout.total)[tuple(index)]
 
     def _hadamard(self, target: int) -> None:
         self._check_qubit(target)
-        pos = self.layout.total - 1 - target
-        view = self.amplitudes.reshape(-1, 2, 1 << pos)
+        # the target's axis with the axes on either side merged: three axes
+        # instead of a _view's total - 1 keep small-width calls cheap
+        view = self.amplitudes.reshape(1 << target, 2, -1)
         low = view[:, 0, :]
         high = view[:, 1, :]
-        mixed = (low + high) * _SQRT_HALF
-        view[:, 1, :] = (low - high) * _SQRT_HALF
-        view[:, 0, :] = mixed
+        diff = low - high
+        low += high
+        high[...] = diff
+        view *= _SQRT_HALF
 
     def _phase(self, target: int, k: int) -> None:
         self._check_qubit(target)
-        pos = self.layout.total - 1 - target
         factor = np.exp(2j * np.pi / (1 << k))
-        self.amplitudes.reshape(-1, 2, 1 << pos)[:, 1, :] *= factor
+        self.amplitudes.reshape(1 << target, 2, -1)[:, 1, :] *= factor
 
-    def _mcx(self, controls: Sequence[tuple[int, int]], target: int) -> None:
-        self._check_qubit(target)
-        target_pos = self.layout.total - 1 - target
-        fixed = self._fixed(controls)
-        fixed.append((target_pos, 0))
-        src = _spread_indices(self.layout.total, fixed)
-        dst = src | (1 << target_pos)
-        amps = self.amplitudes
-        swapped = amps[src]
-        amps[src] = amps[dst]
-        amps[dst] = swapped
+    def _mcx(self, controls: Iterable[tuple[int, int]], target: int) -> None:
+        controls = tuple(controls)
+        low = self._view((*controls, (target, 0)))
+        high = self._view((*controls, (target, 1)))
+        swapped = low.copy()
+        low[...] = high
+        high[...] = swapped
 
 
 def align_phase(vector: Array, reference: Array) -> Array:

@@ -26,8 +26,6 @@ from bitprep import (
     EntanglementError,
     RegisterLayout,
     analyze,
-    amplitude_triads,
-    build_superposition,
     compile_circuit,
     decompose,
     naive_success_probability,
@@ -37,6 +35,7 @@ from bitprep import (
     simulate,
     StateVector,
 )
+from bitprep.encoder import amplitude_triads, build_superposition
 
 WORKED = util.worked_plan()
 LAYOUT = RegisterLayout(WORKED.n, WORKED.m)

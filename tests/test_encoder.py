@@ -12,21 +12,23 @@ from bitprep import (
     EntanglementError,
     Hadamard,
     Measurement,
-    PauliX,
     PhaseK,
     RegisterLayout,
     StateVector,
     TargetState,
     align_phase,
-    amplitude_triads,
-    build_branch_labeling,
-    build_phase_encoding,
-    build_superposition,
+    analyze,
     compile_circuit,
     decompose,
     parse_circuit,
     reconstruct,
     simulate,
+)
+from bitprep.encoder import (
+    amplitude_triads,
+    build_branch_labeling,
+    build_phase_encoding,
+    build_superposition,
 )
 
 WORKED = util.worked_plan()
@@ -273,6 +275,17 @@ def test_round_trip_is_byte_identical():
         assert parse_circuit(text).export_text() == text
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), peephole=st.booleans())
+def test_round_trip_gives_back_gates_and_tally(seed, peephole):
+    rng = np.random.default_rng(seed)
+    plan = util.random_plan(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+    circuit = compile_circuit(plan, peephole=peephole)
+    parsed = parse_circuit(circuit.export_text())
+    assert parsed.gates == circuit.gates
+    assert analyze(parsed, plan).as_dict() == analyze(circuit, plan).as_dict()
+
+
 def test_round_trip_resimulates_identically():
     circuit = compile_circuit(WORKED)
     parsed = parse_circuit(circuit.export_text())
@@ -324,8 +337,8 @@ def test_peephole_collapses_full_columns():
     layout = RegisterLayout(2, 2)
     triads = amplitude_triads(plan, layout, peephole=True)
     # bit 1 is set everywhere: single unconditional flip either side
-    assert triads[1][0] == PauliX(layout.scratch)
-    assert triads[1][-1] == PauliX(layout.scratch)
+    assert triads[1][0] == MCX((), layout.scratch)
+    assert triads[1][-1] == MCX((), layout.scratch)
     assert len(triads[1]) == 3
     # bit 0 set nowhere: bare select that can never fire
     assert len(triads[0]) == 1
@@ -348,6 +361,8 @@ def test_peephole_export_and_parse():
     assert "\nMCX 6\n" in text  # bare X on the scratch qubit
     parsed = parse_circuit(text)
     assert parsed.export_text() == text
+    assert parsed.gates == circuit.gates
+    assert analyze(parsed, plan).as_dict() == analyze(circuit, plan).as_dict()
     a = simulate(circuit)
     b = simulate(parsed)
     assert np.max(np.abs(a.final.amplitudes - b.final.amplitudes)) < 1e-12

@@ -1,6 +1,6 @@
 import pytest
 
-from bitprep import MCX, Hadamard, PauliX, PhaseK, gate_qubits
+from bitprep import MCX, Hadamard, PhaseK, gate_qubits
 
 
 def test_phase_exponent_must_be_positive():
@@ -33,5 +33,5 @@ def test_mcx_rejects_bad_polarity():
 
 def test_gate_qubits():
     assert gate_qubits(Hadamard(4)) == (4,)
-    assert gate_qubits(PauliX(1)) == (1,)
+    assert gate_qubits(MCX((), 1)) == (1,)
     assert gate_qubits(MCX(((0, 1), (3, 0)), 2)) == (0, 3, 2)

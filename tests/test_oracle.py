@@ -12,13 +12,12 @@ from bitprep import (
     compile_circuit,
     decompose,
     naive_success_probability,
-    phase_word_factor,
     predict_stage,
     reconstruct,
     run_projector_path,
     simulate,
-    tagged_work_values,
 )
+from bitprep.oracle import phase_word_factor, tagged_work_values
 
 WORKED = util.worked_plan()
 LAYOUT = RegisterLayout(WORKED.n, WORKED.m)

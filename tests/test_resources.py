@@ -10,12 +10,11 @@ from bitprep import (
     MCX,
     BitPlan,
     Hadamard,
-    PauliX,
     PhaseK,
     analyze,
     compile_circuit,
-    gate_cost,
 )
+from bitprep.resources import gate_cost
 
 WORKED = util.worked_plan()
 
@@ -37,7 +36,6 @@ def dense_plan(n, m):
 def test_gate_cost_units():
     assert gate_cost(Hadamard(0)) == 1
     assert gate_cost(PhaseK(0, 3)) == 1
-    assert gate_cost(PauliX(0)) == 1
     assert gate_cost(MCX((), 0)) == 1
     assert gate_cost(MCX(((1, 1),), 0)) == 1
     assert gate_cost(MCX(((1, 1), (2, 0)), 0)) == 3

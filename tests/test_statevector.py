@@ -8,7 +8,6 @@ from bitprep import (
     CapacityError,
     EntanglementError,
     Hadamard,
-    PauliX,
     PhaseK,
     RegisterLayout,
     StateVector,
@@ -32,7 +31,7 @@ def random_gate(rng, total):
     if kind == 1:
         return PhaseK(target, int(rng.integers(1, 7)))
     if kind == 2:
-        return PauliX(target)
+        return MCX((), target)
     others = [q for q in range(total) if q != target]
     count = int(rng.integers(0, 4))
     picked = rng.choice(others, size=count, replace=False)
@@ -55,9 +54,8 @@ def dense_unitary(total, gate):
             hit = (basis >> pos) & 1
             mat[basis, basis] = np.exp(2j * np.pi / (1 << gate.k)) if hit else 1.0
         else:
-            controls = gate.controls if isinstance(gate, MCX) else ()
             matched = all(
-                ((basis >> (total - 1 - q)) & 1) == bit for q, bit in controls
+                ((basis >> (total - 1 - q)) & 1) == bit for q, bit in gate.controls
             )
             mask = 1 << (total - 1 - gate.target)
             mat[basis ^ mask if matched else basis, basis] = 1.0
@@ -122,13 +120,13 @@ def test_hadamard_on_ground_splits_evenly():
 
 
 def test_phase_k1_negates_excited_component():
-    state = StateVector.ground(SMALL).apply(PauliX(3)).apply(PhaseK(3, 1))
+    state = StateVector.ground(SMALL).apply(MCX((), 3)).apply(PhaseK(3, 1))
     index = 1 << SMALL.bit_position(3)
     assert np.isclose(state.amplitudes[index], -1.0)
 
 
 def test_phase_k2_multiplies_by_i():
-    state = StateVector.ground(SMALL).apply(PauliX(3)).apply(PhaseK(3, 2))
+    state = StateVector.ground(SMALL).apply(MCX((), 3)).apply(PhaseK(3, 2))
     index = 1 << SMALL.bit_position(3)
     assert np.isclose(state.amplitudes[index], 1j)
 
@@ -136,13 +134,13 @@ def test_phase_k2_multiplies_by_i():
 def test_mcx_truth_table():
     gate = MCX(((0, 1), (1, 0)), 2)
     # |100...>: controls match, target flips
-    state = StateVector.ground(SMALL).apply(PauliX(0))
+    state = StateVector.ground(SMALL).apply(MCX((), 0))
     before = int(np.argmax(np.abs(state.amplitudes)))
     state.apply(gate)
     after = int(np.argmax(np.abs(state.amplitudes)))
     assert after == before | (1 << SMALL.bit_position(2))
     # |110...>: negative control unmet, state unchanged
-    state = StateVector.ground(SMALL).apply(PauliX(0)).apply(PauliX(1))
+    state = StateVector.ground(SMALL).apply(MCX((), 0)).apply(MCX((), 1))
     reference = state.amplitudes.copy()
     state.apply(gate)
     assert np.array_equal(state.amplitudes, reference)
@@ -151,10 +149,10 @@ def test_mcx_truth_table():
 def test_mcx_with_no_controls_acts_as_pauli_x():
     rng = np.random.default_rng(7)
     a = random_state(rng, SMALL)
-    b = a.copy()
+    # plain X: amplitude of basis index i moves to i ^ mask
+    b = a.amplitudes[np.arange(1 << SMALL.total) ^ (1 << SMALL.bit_position(4))]
     a.apply(MCX((), 4))
-    b.apply(PauliX(4))
-    assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-15)
+    assert np.allclose(a.amplitudes, b, atol=1e-15)
 
 
 def test_apply_rejects_out_of_range_qubit():
@@ -240,7 +238,7 @@ def test_projector_empty_pattern_is_unconditional():
     a = random_state(rng, SMALL)
     b = a.copy()
     a.apply_projector_terms([((), (2,))])
-    b.apply(PauliX(2))
+    b.apply(MCX((), 2))
     assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-15)
 
 
@@ -268,6 +266,32 @@ def test_projector_multi_target_flips_both():
         + [(q, 0) for q in range(layout.total) if q not in (layout.flag, layout.meter)]
     )
     assert state.amplitudes[expected] == 1.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_projector_multi_target_matches_index_permutation(seed):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, SMALL)
+    before = state.amplitudes.copy()
+    qubits = [int(q) for q in rng.choice(SMALL.total, size=5, replace=False)]
+    # two orthogonal terms on a shared pattern qubit, up to two targets each
+    shared, lone, extra, first, second = qubits
+    terms = [
+        (((shared, 0), (lone, int(rng.integers(2)))), (first, second)),
+        (((shared, 1),), (extra, first) if rng.integers(2) else (lone,)),
+    ]
+    state.apply_projector_terms(terms)
+    # explicit reference: each matching basis index i moves to i ^ mask
+    indices = np.arange(1 << SMALL.total)
+    expected = before.copy()
+    for pattern, targets in terms:
+        match = np.ones(1 << SMALL.total, dtype=bool)
+        for qubit, bit in pattern:
+            match &= ((indices >> SMALL.bit_position(qubit)) & 1) == bit
+        flip = sum(1 << SMALL.bit_position(q) for q in targets)
+        expected[indices[match] ^ flip] = before[match]
+    assert np.array_equal(state.amplitudes, expected)
 
 
 def test_projector_rejects_identical_patterns():
@@ -345,15 +369,21 @@ def test_postselect_requires_pattern():
 def test_postselect_probability_equals_direct_sum(seed):
     rng = np.random.default_rng(seed)
     state = random_state(rng, SMALL)
-    qubit = int(rng.integers(SMALL.total))
-    bit = int(rng.integers(2))
-    _, probability = state.postselect([(qubit, bit)])
+    qubits = rng.choice(SMALL.total, size=int(rng.integers(1, 4)), replace=False)
+    pattern = [(int(q), int(rng.integers(2))) for q in qubits]
+    before = state.amplitudes.copy()
+    kept, probability = state.postselect(pattern)
     # independent summation over basis indices
-    pos = SMALL.bit_position(qubit)
     indices = np.arange(1 << SMALL.total)
-    mask = ((indices >> pos) & 1) == bit
+    mask = np.ones(1 << SMALL.total, dtype=bool)
+    for qubit, bit in pattern:
+        mask &= ((indices >> SMALL.bit_position(qubit)) & 1) == bit
     direct = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
     assert abs(probability - direct) < 1e-12
+    assert abs(state.probability(pattern) - direct) < 1e-12
+    expected = np.where(mask, state.amplitudes, 0.0) / np.sqrt(direct)
+    assert np.max(np.abs(kept.amplitudes - expected)) < 1e-12
+    assert np.array_equal(state.amplitudes, before)
 
 
 # ----------------------------------------------------------------------
@@ -361,13 +391,13 @@ def test_postselect_probability_equals_direct_sum(seed):
 
 
 def test_extract_product_qubit():
-    state = StateVector.ground(SMALL).apply(PauliX(3))
+    state = StateVector.ground(SMALL).apply(MCX((), 3))
     vec = state.extract([3])
     assert np.allclose(np.abs(vec), [0.0, 1.0], atol=1e-12)
 
 
 def test_extract_respects_qubit_order():
-    state = StateVector.ground(SMALL).apply(PauliX(0))
+    state = StateVector.ground(SMALL).apply(MCX((), 0))
     # qubit 0 excited: listed first it is the MSB, listed second the LSB
     lead = state.extract([0, 1])
     trail = state.extract([1, 0])
