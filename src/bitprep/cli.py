@@ -13,7 +13,8 @@ Entries may instead use ``cart <re> <im>``; the two styles cannot be
 mixed and exactly 2**n entries are required.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or validation
-error, 3 capacity exceeded.
+error, 3 capacity exceeded (over the qubit cap, wider than numpy can
+hold, or out of memory).
 """
 
 from __future__ import annotations
@@ -192,8 +193,11 @@ def _verify(args, plan, circuit, run, reconstruction):
     return checks, output
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         raw = Path(args.target).read_bytes()
@@ -221,13 +225,15 @@ def main(argv=None) -> int:
 
     try:
         run = simulate(circuit, keep_stages=args.stage_check, max_qubits=args.max_qubits)
+        simulated = time.perf_counter()
+        reconstruction = reconstruct(plan)
+        checks, _ = _verify(args, plan, circuit, run, reconstruction)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    simulated = time.perf_counter()
-
-    reconstruction = reconstruct(plan)
-    checks, _ = _verify(args, plan, circuit, run, reconstruction)
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 3
     verified = time.perf_counter()
     failed = [name for name in _CHECK_ORDER if name in checks and not checks[name]["pass"]]
 

@@ -2,10 +2,11 @@
 
 Two references are computed without reusing the compiler's gate lists:
 
-* closed-form predictions of every component of the branch that carries
-  the encoding, stage by stage (the remaining "garbage" weight is only
-  constrained through norm accounting and orthogonality, never predicted
-  term by term);
+* closed-form predictions of the branch that carries the encoding, stage
+  by stage: one array of basis indices and one array of their predicted
+  amplitudes, built with bit arithmetic from the plan (the remaining
+  "garbage" weight is only constrained through norm accounting and
+  orthogonality, never predicted term by term);
 * a projector-algebra execution that applies each stage's operator
   directly to the dense vector, one (projector, bit-flip) sum at a time,
   with the opening superposition written down analytically.
@@ -21,7 +22,6 @@ terminal measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -38,149 +38,98 @@ STAGE_COUNT = 6
 _SQRT_HALF = 2.0 ** -0.5
 
 
-@dataclass(frozen=True)
-class Component:
-    """One basis component of the encoding-carrying branch.
-
-    ``phase_word`` is either an explicit bit word for the phase register
-    or None, meaning the phase register still holds its superposed
-    product factor: the component then stands for all 2**m words, each
-    with ``coeff`` times that word's accumulated phase factor (``coeff``
-    is always the per-basis-state amplitude).
-    """
-
-    label: int
-    work: int
-    phase_word: tuple[int, ...] | None
-    marks: tuple[int, int]
-    outcome: tuple[int, int]
-    coeff: complex
-
-
-def phase_word_factor(word: tuple[int, ...]) -> complex:
-    """Accumulated factor exp(2*pi*i * sum_i word[i] / 2**(i+1))."""
-    turns = sum(bit / (1 << (i + 1)) for i, bit in enumerate(word))
-    return complex(np.exp(2j * np.pi * turns))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StagePrediction:
-    """Predicted components of the encoding branch at one stage."""
+    """Predicted encoding branch at one stage.
+
+    ``components`` holds int64 basis indices, each at most once, and
+    ``amplitudes`` the complex128 amplitude predicted at each, in the
+    same order.
+    """
 
     stage: int
     layout: RegisterLayout
-    components: tuple[Component, ...]
-
-    def amplitude_entries(self) -> Iterator[tuple[int, complex]]:
-        """Yield (basis index, predicted amplitude) for every component,
-        expanding deferred phase words."""
-        m = self.layout.m
-        for comp in self.components:
-            if comp.phase_word is not None:
-                yield self._index(comp, comp.phase_word), comp.coeff
-                continue
-            for value in range(1 << m):
-                word = tuple((value >> i) & 1 for i in range(m))
-                yield self._index(comp, word), comp.coeff * phase_word_factor(word)
+    components: Array
+    amplitudes: Array
 
     def useful_norm_sq(self) -> float:
         """Squared norm the predicted branch should carry."""
-        total = 0.0
-        for comp in self.components:
-            weight = abs(comp.coeff) ** 2
-            if comp.phase_word is None:
-                weight *= 1 << self.layout.m
-            total += weight
-        return total
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def max_deviation(self, state: StateVector) -> float:
         """Largest |simulated - predicted| over the predicted components."""
-        if state.layout != self.layout:
-            raise ValueError("state layout does not match prediction layout")
-        worst = 0.0
-        for index, amplitude in self.amplitude_entries():
-            worst = max(worst, abs(state.amplitudes[index] - amplitude))
-        return worst
+        deviation = np.abs(self._gather(state) - self.amplitudes)
+        return float(deviation.max(initial=0.0))
 
     def measured_norm_sq(self, state: StateVector) -> float:
         """Squared norm the simulated state carries on the predicted components."""
+        gathered = self._gather(state)
+        return float(np.vdot(gathered, gathered).real)
+
+    def _gather(self, state: StateVector) -> Array:
         if state.layout != self.layout:
             raise ValueError("state layout does not match prediction layout")
-        return float(
-            sum(abs(state.amplitudes[index]) ** 2 for index, _ in self.amplitude_entries())
-        )
-
-    def _index(self, comp: Component, word: tuple[int, ...]) -> int:
-        layout = self.layout
-        assignment = (
-            layout.system_pattern(comp.label)
-            + layout.amp_pattern(comp.work)
-            + layout.phase_pattern(word)
-            + (
-                (layout.scratch, comp.marks[0]),
-                (layout.tag, comp.marks[1]),
-                (layout.flag, comp.outcome[0]),
-                (layout.meter, comp.outcome[1]),
-            )
-        )
-        return layout.index_of(assignment)
+        return state.amplitudes[self.components]
 
 
-def tagged_work_values(plan: BitPlan, label: int) -> tuple[int, ...]:
-    """Amp-register values tagged for a basis label: the union of blocks
-    [2**k, 2**(k+1)) over the label's set amplitude bits.  Exactly a_j
-    values."""
-    values: list[int] = []
-    for k in range(plan.m):
-        if plan.amp_bits[label, k]:
-            values.extend(range(1 << k, 1 << (k + 1)))
-    return tuple(sorted(values))
+def _index(layout: RegisterLayout, *registers: tuple[tuple[int, ...], Array | int]) -> Array:
+    """Basis indices of (qubits, values) assignments, each value written
+    big-endian on its qubits; qubits not named read 0."""
+    index = np.int64(0)
+    for qubits, values in registers:
+        for i, qubit in enumerate(reversed(qubits)):
+            index = index | ((values >> i) & 1) << layout.bit_position(qubit)
+    return index
 
 
 def predict_stage(plan: BitPlan, stage: int) -> StagePrediction:
     """Closed-form components of the encoding branch after ``stage``."""
+    if stage not in range(1, STAGE_COUNT + 1):
+        raise ValueError(f"stage must be 1..{STAGE_COUNT}, got {stage}")
     layout = RegisterLayout(plan.n, plan.m)
     n, m = plan.n, plan.m
-    labels = 1 << n
+    labels, words = np.arange(1 << n), np.arange(1 << m)
     base = 2.0 ** (-(n + 2 * m) / 2.0)
-    narrow = 2.0 ** (-(n + 4 * m) / 2.0)
-    a = plan.amp_ints
-    turns = plan.phase_turns
-    zero_word = (0,) * m
+    rotations = np.exp(2j * np.pi * plan.phase_turns)
+    # word w, read big-endian on the phase register, has accumulated w / 2**m turns
+    word_factors = np.exp(2j * np.pi * (words / float(1 << m)))
 
-    components: list[Component] = []
+    # marks are (scratch, tag) and outcome is (flag, meter), each read as two bits
+    marks, outcome = 0b11, 0b00
     if stage == 1:
-        for j in range(labels):
-            for r in range(1 << m):
-                for value in range(1 << m):
-                    word = tuple((value >> i) & 1 for i in range(m))
-                    components.append(
-                        Component(j, r, word, (0, 0), (0, 0), base * phase_word_factor(word))
-                    )
-    elif stage == 2:
-        for j in range(labels):
-            for r in tagged_work_values(plan, j):
-                components.append(Component(j, r, None, (0, 1), (0, 0), base))
-    elif stage == 3:
-        for j in range(labels):
-            word = tuple(int(b) for b in plan.phase_bits[j])
-            factor = base * np.exp(2j * np.pi * turns[j])
-            for r in tagged_work_values(plan, j):
-                components.append(Component(j, r, word, (1, 1), (0, 0), factor))
-    elif stage in (4, 5):
-        outcome = (0, 0) if stage == 4 else (1, 1)
-        for j in range(labels):
-            coeff = narrow * float(a[j]) * np.exp(2j * np.pi * turns[j])
-            components.append(Component(j, 0, zero_word, (1, 1), outcome, coeff))
-    elif stage == 6:
-        scale = plan.scale
-        for j in range(labels):
-            coeff = float(a[j]) / scale * np.exp(2j * np.pi * turns[j])
-            components.append(Component(j, 0, zero_word, (1, 1), (1, 1), coeff))
-    else:
-        raise ValueError(f"stage must be 1..{STAGE_COUNT}, got {stage}")
+        grid = np.meshgrid(labels, words, words, indexing="ij")
+        j, work, word = (axis.ravel() for axis in grid)
+        marks = 0b00
+        amplitudes = base * word_factors[word]
+    elif stage <= 3:
+        # work value r > 0 is tagged for label j when amp bit floor(log2 r) is set
+        j, work = np.nonzero(plan.amp_bits[:, np.repeat(np.arange(m), 1 << np.arange(m))])
+        work = work + 1
+        if stage == 2:  # the phase register still holds its superposed factor
+            j, work, word = np.repeat(j, 1 << m), np.repeat(work, 1 << m), np.tile(words, len(j))
+            marks = 0b01
+            amplitudes = base * word_factors[word]
+        else:
+            word = plan.phase_ints[j]
+            amplitudes = base * rotations[j]
+    else:  # one entry per label, both work registers back at 0
+        j, work, word = labels, 0, 0
+        outcome = 0b00 if stage == 4 else 0b11
+        levels = plan.amp_ints.astype(np.float64)
+        if stage == 6:
+            amplitudes = levels / plan.scale * rotations
+        else:
+            amplitudes = 2.0 ** (-(n + 4 * m) / 2.0) * levels * rotations
 
-    return StagePrediction(stage=stage, layout=layout, components=tuple(components))
+    components = _index(
+        layout,
+        (layout.system, j),
+        (layout.amp[::-1], work),  # amp[i] carries the 2**i bit
+        (layout.phase, word),
+        ((layout.scratch, layout.tag), marks),
+        ((layout.flag, layout.meter), outcome),
+    )
+    return StagePrediction(stage, layout, components, amplitudes)
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,11 @@ Array = np.ndarray
 
 DEFAULT_MAX_QUBITS = 26
 
+# widest register numpy can allocate: the vector's 2**(total + 4) bytes must
+# fit in np.intp, which allows 58 qubits on 64-bit builds (numpy's limit of 64
+# axes, one per qubit, is looser)
+_WIDEST = np.iinfo(np.intp).max.bit_length() - 5
+
 _SQRT_HALF = 2.0 ** -0.5
 
 
@@ -50,13 +55,19 @@ class StateVector:
         ------
         CapacityError
             If the register needs more than 2**max_qubits amplitudes
-            (default cap 2**26).
+            (default cap 2**26), or is wider than one numpy array can
+            hold, whatever the cap.
         """
         cap = DEFAULT_MAX_QUBITS if max_qubits is None else int(max_qubits)
         if layout.total > cap:
             raise CapacityError(
                 f"register needs {layout.total} qubits (2**{layout.total} amplitudes) "
                 f"but the cap is {cap} qubits; raise the cap explicitly to proceed"
+            )
+        if layout.total > _WIDEST:
+            raise CapacityError(
+                f"register needs {layout.total} qubits but numpy cannot hold a dense "
+                f"vector wider than {_WIDEST} qubits"
             )
         amplitudes = np.zeros(1 << layout.total, dtype=np.complex128)
         amplitudes[0] = 1.0

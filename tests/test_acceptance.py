@@ -118,21 +118,29 @@ def test_criterion_2_worked_stage_components():
     worst = max(deviations)
 
     # the explicitly displayed pieces, re-checked as literals
-    tag_sets = {0: set(), 1: set()}
-    for comp in predict_stage(WORKED, 2).components:
-        tag_sets[comp.label].add(comp.work)
-    tags_ok = tag_sets == {0: {2, 3}, 1: {1, 2, 3}}
+    tagged = {0: (2, 3), 1: (1, 2, 3)}
+    words = util.phase_words(WORKED.m)
+    tag_set = {
+        util.basis_index(LAYOUT, j, r, word, (0, 1), (0, 0))
+        for j, works in tagged.items()
+        for r in works
+        for word in words
+    }
+    tags_ok = set(predict_stage(WORKED, 2).components.tolist()) == tag_set
 
     base = 2.0 ** -2.5
-    stage3 = {c.label: c.coeff for c in predict_stage(WORKED, 3).components}
-    phases_ok = (
-        abs(stage3[0] - base * (-1j)) < 1e-12 and abs(stage3[1] - base * (-1.0)) < 1e-12
+    stage3 = predict_stage(WORKED, 3)
+    phases_ok = all(
+        abs(util.predicted_amplitude(stage3, j, r, word, (1, 1), (0, 0)) - base * factor)
+        < 1e-12
+        for j, word, factor in ((0, (1, 1), -1j), (1, (1, 0), -1.0))
+        for r in tagged[j]
     )
     narrow = 2.0 ** -4.5
-    stage4 = {c.label: c.coeff for c in predict_stage(WORKED, 4).components}
-    coeffs_ok = (
-        abs(stage4[0] - narrow * 2.0 * (-1j)) < 1e-12
-        and abs(stage4[1] - narrow * 3.0 * (-1.0)) < 1e-12
+    stage4 = predict_stage(WORKED, 4)
+    coeffs_ok = all(
+        abs(util.predicted_amplitude(stage4, j, 0, (0, 0), (1, 1), (0, 0)) - expected) < 1e-12
+        for j, expected in ((0, narrow * 2.0 * (-1j)), (1, narrow * 3.0 * (-1.0)))
     )
 
     ok = worst <= 1e-12 and tags_ok and phases_ok and coeffs_ok

@@ -6,7 +6,7 @@ import pytest
 
 import util
 import bitprep.cli as cli_mod
-from bitprep import RegisterLayout, parse_circuit, simulate
+from bitprep import RegisterLayout, StateVector, parse_circuit, simulate
 from bitprep.cli import main, parse_target_file
 
 ROOT13 = float(np.sqrt(13.0))
@@ -209,6 +209,33 @@ def test_capacity_is_exit_3(tmp_path, capsys):
     assert main([str(target), "--max-qubits", "8"]) == 3
     assert "qubit" in capsys.readouterr().err
     assert main([str(target), "--max-qubits", "9"]) == 0
+
+
+@pytest.mark.parametrize("m", [30, 27])  # widths 65 and 59, both past numpy's array limit
+def test_too_wide_for_numpy_is_exit_3(tmp_path, capsys, m):
+    target = write(tmp_path, "t.target", "n 1\npolar 1.0 0.0\npolar 0.0 0.0\n")
+    assert main([str(target), "--m", str(m), "--max-qubits", "100"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_memory_error_is_exit_3(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    def bare(*args, **kwargs):
+        raise MemoryError
+
+    target = write(tmp_path, "t.target", WORKED_TARGET)
+    with monkeypatch.context() as patch:
+        patch.setattr(StateVector, "ground", exhausted)
+        assert main([str(target)]) == 3
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 TiB\n"
+    # a failed allocation on the stage-check path, with no message
+    monkeypatch.setattr(cli_mod, "run_projector_path", bare)
+    assert main([str(target), "--stage-check"]) == 3
+    assert capsys.readouterr().err == "error: out of memory: allocation failed\n"
 
 
 def test_verification_failure_is_exit_1(tmp_path, capsys, monkeypatch):

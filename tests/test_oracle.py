@@ -17,7 +17,6 @@ from bitprep import (
     run_projector_path,
     simulate,
 )
-from bitprep.oracle import phase_word_factor, tagged_work_values
 
 WORKED = util.worked_plan()
 LAYOUT = RegisterLayout(WORKED.n, WORKED.m)
@@ -27,23 +26,8 @@ LAYOUT = RegisterLayout(WORKED.n, WORKED.m)
 # closed-form component tables
 
 
-def test_tagged_work_values():
-    plan = BitPlan(
-        1,
-        3,
-        np.array([[1, 0, 1], [0, 1, 0]]),  # levels 5 and 2
-        np.zeros((2, 3), dtype=int),
-    )
-    assert tagged_work_values(plan, 0) == (1, 4, 5, 6, 7)
-    assert tagged_work_values(plan, 1) == (2, 3)
-    assert len(tagged_work_values(plan, 0)) == plan.amp_ints[0]
-
-
-def test_phase_word_factor():
-    assert phase_word_factor(()) == 1.0
-    assert abs(phase_word_factor((1,)) - (-1.0)) < 1e-15
-    assert abs(phase_word_factor((1, 1)) - (-1j)) < 1e-15
-    assert abs(phase_word_factor((0, 1)) - 1j) < 1e-15
+# accumulated factor exp(2*pi*i * sum_i word[i] / 2**(i+1)) of each m=2 phase word
+WORD_FACTORS_M2 = {(0, 0): 1.0, (1, 0): -1.0, (0, 1): 1j, (1, 1): -1j}
 
 
 def test_opening_prediction_small():
@@ -51,37 +35,81 @@ def test_opening_prediction_small():
     pred = predict_stage(plan, 1)
     assert len(pred.components) == 8
     base = 2.0 ** -1.5
-    assert all(abs(abs(comp.coeff) - base) < 1e-15 for comp in pred.components)
+    assert np.all(np.abs(np.abs(pred.amplitudes) - base) < 1e-15)
     # half the components sit on phase word (1,) and carry the -1 factor
-    negative = [c for c in pred.components if c.phase_word == (1,)]
-    assert len(negative) == 4
-    assert all(abs(comp.coeff + base) < 1e-15 for comp in negative)
+    assert np.count_nonzero(np.abs(pred.amplitudes + base) < 1e-15) == 4
+    for label in (0, 1):
+        for work in (0, 1):
+            entry = (label, work, (1,), (0, 0), (0, 0))
+            assert abs(util.predicted_amplitude(pred, *entry) + base) < 1e-15
+            entry = (label, work, (0,), (0, 0), (0, 0))
+            assert abs(util.predicted_amplitude(pred, *entry) - base) < 1e-15
+
+
+def test_opening_prediction_word_factors():
+    plan = decompose(TargetState.from_amplitudes([0.6, 0.8]), 2)
+    pred = predict_stage(plan, 1)
+    assert len(pred.components) == 32
+    base = 2.0 ** -2.5
+    for word, factor in WORD_FACTORS_M2.items():
+        for label in (0, 1):
+            for work in range(4):
+                entry = (label, work, word, (0, 0), (0, 0))
+                assert abs(util.predicted_amplitude(pred, *entry) - base * factor) < 1e-15
+
+
+def test_tagging_prediction_levels():
+    plan = BitPlan(
+        1,
+        3,
+        np.array([[1, 0, 1], [0, 1, 0]]),  # levels 5 and 2
+        np.zeros((2, 3), dtype=int),
+    )
+    tagged = {0: (1, 4, 5, 6, 7), 1: (2, 3)}
+    pred = predict_stage(plan, 2)
+    words = util.phase_words(3)
+    expected = {
+        util.basis_index(pred.layout, label, work, word, (0, 1), (0, 0))
+        for label, works in tagged.items()
+        for work in works
+        for word in words
+    }
+    assert len(pred.components) == (5 + 2) * 8
+    assert set(pred.components.tolist()) == expected
+    # exactly a_j work values are tagged for label j
+    assert [len(tagged[label]) for label in (0, 1)] == plan.amp_ints.tolist()
 
 
 def test_tagging_prediction_worked():
     pred = predict_stage(WORKED, 2)
-    assert len(pred.components) == 5
-    by_label = {0: set(), 1: set()}
-    for comp in pred.components:
-        assert comp.marks == (0, 1)
-        assert comp.outcome == (0, 0)
-        assert comp.phase_word is None
-        assert abs(comp.coeff - 2.0 ** -2.5) < 1e-15
-        by_label[comp.label].add(comp.work)
-    assert by_label[0] == {2, 3}
-    assert by_label[1] == {1, 2, 3}
+    assert len(pred.components) == 5 * 4
+    tagged = {0: {2, 3}, 1: {1, 2, 3}}
+    expected = {
+        util.basis_index(LAYOUT, label, work, word, (0, 1), (0, 0))
+        for label, works in tagged.items()
+        for work in works
+        for word in WORD_FACTORS_M2
+    }
+    assert set(pred.components.tolist()) == expected
+    # the phase register still holds its superposed factor
+    for label, works in tagged.items():
+        for work in works:
+            for word, factor in WORD_FACTORS_M2.items():
+                entry = (label, work, word, (0, 1), (0, 0))
+                amplitude = util.predicted_amplitude(pred, *entry)
+                assert abs(amplitude - 2.0 ** -2.5 * factor) < 1e-15
 
 
 def test_phase_prediction_worked():
     pred = predict_stage(WORKED, 3)
     assert len(pred.components) == 5
     base = 2.0 ** -2.5
-    for comp in pred.components:
-        assert comp.marks == (1, 1)
-        expected_word = tuple(int(b) for b in WORKED.phase_bits[comp.label])
-        assert comp.phase_word == expected_word
-        factor = (-1j) if comp.label == 0 else (-1.0)  # 3/4 and 1/2 turns
-        assert abs(comp.coeff - base * factor) < 1e-14
+    for label, works in ((0, (2, 3)), (1, (1, 2, 3))):
+        word = tuple(int(b) for b in WORKED.phase_bits[label])
+        factor = (-1j) if label == 0 else (-1.0)  # 3/4 and 1/2 turns
+        for work in works:
+            amplitude = util.predicted_amplitude(pred, label, work, word, (1, 1), (0, 0))
+            assert abs(amplitude - base * factor) < 1e-14
 
 
 def test_concentration_prediction_worked():
@@ -89,20 +117,19 @@ def test_concentration_prediction_worked():
         pred = predict_stage(WORKED, stage)
         assert len(pred.components) == 2
         narrow = 2.0 ** -4.5
-        comps = sorted(pred.components, key=lambda c: c.label)
-        assert comps[0].work == 0 and comps[0].phase_word == (0, 0)
-        assert comps[0].outcome == outcome and comps[1].outcome == outcome
-        assert abs(comps[0].coeff - narrow * 2.0 * (-1j)) < 1e-14
-        assert abs(comps[1].coeff - narrow * 3.0 * (-1.0)) < 1e-14
+        first = util.predicted_amplitude(pred, 0, 0, (0, 0), (1, 1), outcome)
+        second = util.predicted_amplitude(pred, 1, 0, (0, 0), (1, 1), outcome)
+        assert abs(first - narrow * 2.0 * (-1j)) < 1e-14
+        assert abs(second - narrow * 3.0 * (-1.0)) < 1e-14
 
 
 def test_final_prediction_is_the_reconstruction():
     pred = predict_stage(WORKED, 6)
-    comps = sorted(pred.components, key=lambda c: c.label)
+    assert len(pred.components) == 2
     expected = reconstruct(WORKED).amplitudes
-    for j, comp in enumerate(comps):
-        assert abs(comp.coeff - expected[j]) < 1e-14
-        assert comp.outcome == (1, 1) and comp.marks == (1, 1)
+    for j in range(2):
+        amplitude = util.predicted_amplitude(pred, j, 0, (0, 0), (1, 1), (1, 1))
+        assert abs(amplitude - expected[j]) < 1e-14
     assert abs(pred.useful_norm_sq() - 1.0) < 1e-12
 
 
@@ -111,6 +138,29 @@ def test_predicted_branch_weights_worked():
     expected = {1: 1.0, 2: 0.625, 3: 0.15625, 4: 13.0 / 512.0, 5: 13.0 / 512.0, 6: 1.0}
     for stage, weight in expected.items():
         assert abs(predict_stage(WORKED, stage).useful_norm_sq() - weight) < 1e-12
+
+
+def test_predicted_sizes_and_weights_random():
+    # a lost or doubled entry shows in the count and the weight
+    rng = np.random.default_rng(2718)
+    for _ in range(10):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        plan = util.random_plan(rng, n, m)
+        a_sum = int(plan.amp_ints.sum())
+        g_sq = int((plan.amp_ints ** 2).sum())
+        sizes = {1: 1 << (n + 2 * m), 2: a_sum << m, 3: a_sum, 4: 1 << n, 5: 1 << n, 6: 1 << n}
+        weights = {
+            1: 1.0,
+            2: a_sum / 2.0 ** (n + m),
+            3: a_sum / 2.0 ** (n + 2 * m),
+            4: g_sq / 2.0 ** (n + 4 * m),
+            5: g_sq / 2.0 ** (n + 4 * m),
+            6: 1.0,
+        }
+        for stage in range(1, 7):
+            pred = predict_stage(plan, stage)
+            assert len(np.unique(pred.components)) == len(pred.amplitudes) == sizes[stage]
+            assert abs(pred.useful_norm_sq() - weights[stage]) < 1e-12
 
 
 def test_invalid_stage_rejected():
@@ -148,9 +198,14 @@ def test_unpredicted_weight_never_reaches_the_kept_branch():
         layout = RegisterLayout(plan.n, plan.m)
         run = simulate(compile_circuit(plan), keep_stages=True)
         labeled = run.stages[4]
+        pred = predict_stage(plan, 5)
+        expected = {
+            util.basis_index(layout, j, 0, (0,) * plan.m, (1, 1), (1, 1))
+            for j in range(1 << plan.n)
+        }
+        assert set(pred.components.tolist()) == expected
         residual = labeled.amplitudes.copy()
-        for index, _ in predict_stage(plan, 5).amplitude_entries():
-            residual[index] = 0.0
+        residual[pred.components] = 0.0
         idx = np.arange(residual.size)
         kept = ((idx >> layout.bit_position(layout.flag)) & 1) & (
             (idx >> layout.bit_position(layout.meter)) & 1
@@ -165,6 +220,8 @@ def test_norm_accounting_random():
     run = simulate(compile_circuit(plan), keep_stages=True)
     for stage, state in enumerate(run.stages, start=1):
         pred = predict_stage(plan, stage)
+        # a duplicate index would count its weight twice on both sides
+        assert len(np.unique(pred.components)) == len(pred.components)
         assert abs(pred.measured_norm_sq(state) - pred.useful_norm_sq()) < 1e-12
 
 

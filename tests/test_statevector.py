@@ -92,6 +92,10 @@ def test_ground_respects_capacity_cap():
     with pytest.raises(CapacityError):
         StateVector.ground(RegisterLayout(1, 2), max_qubits=8)
     StateVector.ground(RegisterLayout(1, 2), max_qubits=9)
+    # widths 59 and 65: no cap lets numpy allocate them, and none is tried
+    for m in (27, 30):
+        with pytest.raises(CapacityError, match="numpy"):
+            StateVector.ground(RegisterLayout(1, m), max_qubits=100)
 
 
 def test_from_amplitudes_checks_length():

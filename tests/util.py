@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from bitprep import TargetState, decompose
@@ -25,3 +27,32 @@ def random_target(rng: np.random.Generator, n: int) -> TargetState:
 
 def random_plan(rng: np.random.Generator, n: int, m: int):
     return decompose(random_target(rng, n), m)
+
+
+def phase_words(m: int):
+    """Every phase-register bit word of length m, as tuples."""
+    return list(itertools.product((0, 1), repeat=m))
+
+
+def basis_index(layout, label, work, word, marks, outcome) -> int:
+    """Scalar basis index of one (label, work value, phase word,
+    (scratch, tag), (flag, meter)) assignment, through ``index_of``."""
+    return layout.index_of(
+        layout.system_pattern(label)
+        + layout.amp_pattern(work)
+        + layout.phase_pattern(word)
+        + (
+            (layout.scratch, marks[0]),
+            (layout.tag, marks[1]),
+            (layout.flag, outcome[0]),
+            (layout.meter, outcome[1]),
+        )
+    )
+
+
+def predicted_amplitude(pred, label, work, word, marks, outcome) -> complex:
+    """A stage prediction's amplitude at one assignment; it must be
+    predicted exactly once."""
+    index = basis_index(pred.layout, label, work, word, marks, outcome)
+    (position,) = np.flatnonzero(pred.components == index)
+    return complex(pred.amplitudes[position])
