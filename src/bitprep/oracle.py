@@ -138,20 +138,10 @@ def predict_stage(plan: BitPlan, stage: int) -> StagePrediction:
 
 def _initial_superposition(layout: RegisterLayout, max_qubits: int | None = None) -> StateVector:
     """The post-superpose state written down directly as a tensor product."""
-    state = StateVector.ground(layout, max_qubits=max_qubits)
-    uniform = np.array([_SQRT_HALF, _SQRT_HALF], dtype=np.complex128)
-    idle = np.array([1.0, 0.0], dtype=np.complex128)
-    factors: dict[int, Array] = {q: uniform for q in (*layout.system, *layout.amp)}
+    factors = {q: (_SQRT_HALF, _SQRT_HALF) for q in (*layout.system, *layout.amp)}
     for i, q in enumerate(layout.phase):
-        factors[q] = np.array(
-            [_SQRT_HALF, _SQRT_HALF * np.exp(2j * np.pi / (1 << (i + 1)))],
-            dtype=np.complex128,
-        )
-    accumulated = np.ones(1, dtype=np.complex128)
-    for q in range(layout.total):
-        accumulated = np.kron(accumulated, factors.get(q, idle))
-    state.amplitudes[:] = accumulated
-    return state
+        factors[q] = (_SQRT_HALF, _SQRT_HALF * np.exp(2j * np.pi / (1 << (i + 1))))
+    return StateVector.product(layout, factors, max_qubits=max_qubits)
 
 
 def run_projector_path(plan: BitPlan, *, max_qubits: int | None = None) -> tuple[StateVector, ...]:

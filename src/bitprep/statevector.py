@@ -1,21 +1,30 @@
-"""Dense statevector over the full register and its primitive updates.
+"""Register state as a dense core times exact single-qubit factors.
 
-Amplitudes live in one contiguous complex128 array of length
-2**layout.total.  One addressing rule holds throughout: qubit q is axis
-q of ``amplitudes.reshape((2,) * total)``, so qubit 0 is the most
-significant bit of a basis index.  Fixing some qubits to bits is a basic
-slice of that tensor, and every kernel works on such writable views, so
-no index arrays are built; single-qubit gates merge the axes on either
-side of the target, ``reshape(2**q, 2, -1)``.  Gate and projector
-application mutate the array in place and never touch more memory than
-the affected subspace; post-selection returns a fresh vector.  A single
-StateVector must only ever be written from one thread, but distinct
-vectors are independent.
+A state is held in two parts.  The core is a complex128 tensor of shape
+``(2,) * len(axes)`` over the merged qubits, ``axes``, in ascending qubit
+order.  Every other qubit is an exact factor: a 2-vector in a dict, never
+written in place, so copies can share it.  The full vector is the tensor
+product of the core and the factors, and one addressing rule holds for
+it: qubit 0 is the most significant bit of a basis index.  In the core,
+qubit ``axes[i]`` is axis i, so fixing some core qubits to bits is a
+basic slice, and every kernel works on such writable views without
+building index arrays; single-qubit gates merge the axes on either side
+of the target, ``reshape(2**i, 2, -1)``.
+
+``ground`` starts with an empty core and every qubit a |0> factor.
+Hadamard and phase gates on a factored qubit update its 2-vector.  A gate
+or projector term touching factored qubits first multiplies all of them
+into the core, in one allocation, and then runs on the core in place.
+Post-selection slices the core and turns each fixed qubit back into a
+basis factor, so it never fills a full-width vector; ``amplitudes``
+materialises the full vector only when asked.  A single StateVector must
+only ever be written from one thread, but distinct vectors are
+independent.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,15 +43,27 @@ _WIDEST = np.iinfo(np.intp).max.bit_length() - 5
 
 _SQRT_HALF = 2.0 ** -0.5
 
+# rows are the |0> and |1> factors, shared by every state that uses them
+_BASIS = np.eye(2, dtype=np.complex128)
+_BASIS.flags.writeable = False
+
 
 class StateVector:
-    """Dense amplitude vector over a :class:`RegisterLayout`."""
+    """Amplitudes over a :class:`RegisterLayout`: a dense core times qubit factors."""
 
-    __slots__ = ("layout", "amplitudes")
+    __slots__ = ("layout", "_core", "_axes", "_factors")
 
-    def __init__(self, layout: RegisterLayout, amplitudes: Array):
+    def __init__(
+        self,
+        layout: RegisterLayout,
+        core: Array,
+        axes: tuple[int, ...],
+        factors: dict[int, Array],
+    ):
         self.layout = layout
-        self.amplitudes = amplitudes
+        self._core = core
+        self._axes = axes
+        self._factors = factors
 
     # ------------------------------------------------------------------
     # construction
@@ -58,6 +79,27 @@ class StateVector:
             (default cap 2**26), or is wider than one numpy array can
             hold, whatever the cap.
         """
+        return cls.product(layout, {}, max_qubits=max_qubits)
+
+    @classmethod
+    def product(
+        cls,
+        layout: RegisterLayout,
+        factors: Mapping[int, Sequence[complex]],
+        max_qubits: int | None = None,
+    ) -> "StateVector":
+        """Product state: ``factors`` maps qubits to 2-vectors, and every
+        qubit not named starts in |0>.
+
+        Raises
+        ------
+        CapacityError
+            As :meth:`ground`: the state may later be merged up to the
+            full register width.
+        ValueError
+            If a qubit is outside the register or a factor is not a
+            non-zero 2-vector.
+        """
         cap = DEFAULT_MAX_QUBITS if max_qubits is None else int(max_qubits)
         if layout.total > cap:
             raise CapacityError(
@@ -69,9 +111,15 @@ class StateVector:
                 f"register needs {layout.total} qubits but numpy cannot hold a dense "
                 f"vector wider than {_WIDEST} qubits"
             )
-        amplitudes = np.zeros(1 << layout.total, dtype=np.complex128)
-        amplitudes[0] = 1.0
-        return cls(layout, amplitudes)
+        vectors = dict.fromkeys(range(layout.total), _BASIS[0])
+        for qubit, factor in factors.items():
+            if qubit not in vectors:
+                raise ValueError(f"qubit {qubit} outside register of {layout.total} qubits")
+            vector = np.array(factor, dtype=np.complex128)
+            if vector.shape != (2,) or not vector.any():
+                raise ValueError(f"factor for qubit {qubit} must be a non-zero 2-vector")
+            vectors[qubit] = vector
+        return cls(layout, np.ones((), dtype=np.complex128), (), vectors)
 
     @classmethod
     def from_amplitudes(cls, layout: RegisterLayout, values: Iterable[complex]) -> "StateVector":
@@ -82,21 +130,37 @@ class StateVector:
                 f"amplitude vector must have length 2**{layout.total}, "
                 f"got shape {amplitudes.shape}"
             )
-        return cls(layout, amplitudes)
+        total = layout.total
+        return cls(layout, amplitudes.reshape((2,) * total), tuple(range(total)), {})
 
     def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amplitudes.copy())
+        return StateVector(self.layout, self._core.copy(), self._axes, dict(self._factors))
 
     # ------------------------------------------------------------------
     # inspection
 
+    @property
+    def amplitudes(self) -> Array:
+        """The full amplitude vector of length 2**total, read-only.
+
+        Factored qubits are multiplied in on each access, at the cost of
+        a full-width allocation.  Once every qubit is merged it is a view
+        of the live core instead: copy it to keep a snapshot.
+        """
+        _, tensor = self._merged(self._factors)
+        flat = tensor.reshape(-1)
+        flat.flags.writeable = False
+        return flat
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        norm = float(np.linalg.norm(self._core))
+        for factor in self._factors.values():
+            norm *= float(np.linalg.norm(factor))
+        return norm
 
     def probability(self, pattern: Iterable[tuple[int, int]]) -> float:
         """Squared norm of the components matching a (qubit, bit) pattern."""
-        matched = self._view(pattern)
-        return float(np.real(np.vdot(matched, matched)))
+        return self._branch(self._fixed(pattern))[2]
 
     # ------------------------------------------------------------------
     # unitary updates (in place)
@@ -157,7 +221,7 @@ class StateVector:
         # targets commute and sit outside the pattern: one swap each
         for required, flipped in cleaned:
             for qubit in flipped:
-                self._mcx(required.items(), qubit)
+                self._mcx(tuple(required.items()), qubit)
         return self
 
     # ------------------------------------------------------------------
@@ -170,23 +234,28 @@ class StateVector:
 
         Returns the renormalized projection and the pre-renormalization
         squared norm (the probability a plain measurement would have
-        landed on this branch).
+        landed on this branch).  ``self`` is left unchanged, and each
+        fixed qubit becomes a basis factor of the result.
 
         Raises
         ------
         ValueError
             If the pattern is empty or the projection has no support.
         """
-        pattern = tuple(pattern)
-        if not pattern:
+        fixed = self._fixed(pattern)
+        if not fixed:
             raise ValueError("post-selection pattern is empty")
-        kept = self._view(pattern)
-        probability = float(np.real(np.vdot(kept, kept)))
+        kept, amplitude, probability = self._branch(fixed)
         if probability == 0.0:
             raise ValueError("post-selection pattern has no support in the state")
-        out = StateVector(self.layout, np.zeros_like(self.amplitudes))
-        out._view(pattern)[...] = kept / np.sqrt(probability)
-        return out, probability
+        core = np.multiply(
+            kept, amplitude / np.sqrt(probability), out=np.empty(kept.shape, np.complex128)
+        )
+        axes = tuple(q for q in self._axes if q not in fixed)
+        factors = dict(self._factors)
+        for qubit, bit in fixed.items():
+            factors[qubit] = _BASIS[bit]
+        return StateVector(self.layout, core, axes, factors), probability
 
     def extract(self, qubits: Sequence[int], tol: float = 1e-10) -> Array:
         """Read the state of a subsystem that must be unentangled.
@@ -219,10 +288,12 @@ class StateVector:
         for qubit in picked:
             self._check_qubit(qubit)
 
-        total = self.layout.total
-        rest = [q for q in range(total) if q not in set(picked)]
-        tensor = self.amplitudes.reshape((2,) * total)
-        matrix = np.transpose(tensor, picked + rest).reshape(1 << len(picked), -1)
+        # factored qubits outside the pick are exact product factors and
+        # cannot entangle with it, so only the core takes part
+        axes, tensor = self._merged(picked)
+        rest = [q for q in axes if q not in picked]
+        order = [axes.index(q) for q in (*picked, *rest)]
+        matrix = np.transpose(tensor, order).reshape(1 << len(picked), -1)
         if not rest:
             vec = matrix.reshape(-1)
             scale = np.linalg.norm(vec)
@@ -263,21 +334,73 @@ class StateVector:
             fixed[qubit] = bit
         return fixed
 
-    def _view(self, pattern: Iterable[tuple[int, int]]) -> Array:
-        """Writable view of the amplitudes matching a (qubit, bit) pattern.
+    def _merged(self, qubits: Iterable[int]) -> tuple[tuple[int, ...], Array]:
+        """Core axes and tensor with the factored ``qubits`` multiplied in.
 
-        Its axes are the unfixed qubits in ascending order.
+        ``self`` is left unchanged; with nothing to merge the core itself
+        is returned.  The factors' joint tensor is built first, so the
+        result is the only allocation of its size.
         """
-        index: list[int | slice] = [slice(None)] * self.layout.total
-        for qubit, bit in self._fixed(pattern).items():
-            index[qubit] = bit
-        return self.amplitudes.reshape((2,) * self.layout.total)[tuple(index)]
+        new = sorted({q for q in qubits if q in self._factors})
+        if not new:
+            return self._axes, self._core
+        joint = self._factors[new[-1]]
+        if not self._axes:  # a scalar core rides on the last factor
+            joint = joint * self._core
+        # growing from the last qubit keeps the large operand innermost
+        for qubit in reversed(new[:-1]):
+            joint = np.multiply.outer(self._factors[qubit], joint)
+        if not self._axes:
+            return tuple(new), joint
+        axes = tuple(sorted((*self._axes, *new)))
+        in_core = set(self._axes)
+        core = self._core.reshape([2 if q in in_core else 1 for q in axes])
+        joint = joint.reshape([1 if q in in_core else 2 for q in axes])
+        return axes, np.multiply(core, joint, out=np.empty((2,) * len(axes), np.complex128))
+
+    def _merge(self, qubits: Sequence[int]) -> None:
+        """Move the factored ``qubits`` into the core."""
+        if any(q in self._factors for q in qubits):
+            self._axes, self._core = self._merged(qubits)
+            for qubit in qubits:
+                self._factors.pop(qubit, None)
+
+    def _view(self, pattern: Iterable[tuple[int, int]]) -> Array:
+        """Writable view of the core matching a (qubit, bit) pattern on core qubits.
+
+        Its axes are the unfixed core qubits in ascending order; with
+        every core qubit fixed it is a 0-d view, not a copied scalar.
+        """
+        index: list[int | slice] = [slice(None)] * len(self._axes)
+        for qubit, bit in pattern:
+            index[self._axes.index(qubit)] = bit
+        return self._core[(*index, ...)]
+
+    def _branch(self, fixed: dict[int, int]) -> tuple[Array, complex, float]:
+        """The core slice of a pattern's branch, the amplitude its fixed
+        factored qubits contribute, and the branch's squared norm."""
+        amplitude = 1.0
+        weight = 1.0
+        for qubit, factor in self._factors.items():
+            bit = fixed.get(qubit)
+            if bit is None:
+                weight *= float(np.vdot(factor, factor).real)
+            else:
+                amplitude *= complex(factor[bit])
+        kept = self._view((q, bit) for q, bit in fixed.items() if q not in self._factors)
+        weight *= abs(amplitude) ** 2 * float(np.vdot(kept, kept).real)
+        return kept, amplitude, weight
 
     def _hadamard(self, target: int) -> None:
         self._check_qubit(target)
+        factor = self._factors.get(target)
+        if factor is not None:
+            low, high = factor
+            self._factors[target] = np.array([low + high, low - high]) * _SQRT_HALF
+            return
         # the target's axis with the axes on either side merged: three axes
-        # instead of a _view's total - 1 keep small-width calls cheap
-        view = self.amplitudes.reshape(1 << target, 2, -1)
+        # instead of a _view's one per core qubit keep small-width calls cheap
+        view = self._core.reshape(1 << self._axes.index(target), 2, -1)
         low = view[:, 0, :]
         high = view[:, 1, :]
         diff = low - high
@@ -287,11 +410,18 @@ class StateVector:
 
     def _phase(self, target: int, k: int) -> None:
         self._check_qubit(target)
-        factor = np.exp(2j * np.pi / (1 << k))
-        self.amplitudes.reshape(1 << target, 2, -1)[:, 1, :] *= factor
+        rotation = np.exp(2j * np.pi / (1 << k))
+        factor = self._factors.get(target)
+        if factor is not None:
+            self._factors[target] = np.array([factor[0], factor[1] * rotation])
+            return
+        self._core.reshape(1 << self._axes.index(target), 2, -1)[:, 1, :] *= rotation
 
-    def _mcx(self, controls: Iterable[tuple[int, int]], target: int) -> None:
-        controls = tuple(controls)
+    def _mcx(self, controls: tuple[tuple[int, int], ...], target: int) -> None:
+        qubits = (*(q for q, _ in controls), target)
+        for qubit in qubits:
+            self._check_qubit(qubit)
+        self._merge(qubits)
         low = self._view((*controls, (target, 0)))
         high = self._view((*controls, (target, 1)))
         swapped = low.copy()

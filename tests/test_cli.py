@@ -6,7 +6,7 @@ import pytest
 
 import util
 import bitprep.cli as cli_mod
-from bitprep import RegisterLayout, StateVector, parse_circuit, simulate
+from bitprep import RegisterLayout, SimRun, StateVector, parse_circuit, simulate
 from bitprep.cli import main, parse_target_file
 
 ROOT13 = float(np.sqrt(13.0))
@@ -243,9 +243,11 @@ def test_verification_failure_is_exit_1(tmp_path, capsys, monkeypatch):
 
     def corrupted(circuit, **kwargs):
         run = real(circuit, **kwargs)
-        index = int(np.argmax(np.abs(run.final.amplitudes)))
-        run.final.amplitudes[index] = -run.final.amplitudes[index]
-        return run
+        amplitudes = run.final.amplitudes.copy()
+        index = int(np.argmax(np.abs(amplitudes)))
+        amplitudes[index] = -amplitudes[index]
+        final = StateVector.from_amplitudes(circuit.layout, amplitudes)
+        return SimRun(final=final, probability=run.probability, stages=run.stages)
 
     monkeypatch.setattr(cli_mod, "simulate", corrupted)
     target = write(tmp_path, "t.target", WORKED_TARGET)

@@ -1,5 +1,4 @@
-"""The fast demos run end to end (``precision_sweep.py`` is left out: it
-simulates width 22 for several seconds)."""
+"""Every demo runs end to end."""
 
 import pathlib
 import runpy
@@ -9,7 +8,7 @@ import pytest
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["worked_example.py", "resource_scaling.py"])
+@pytest.mark.parametrize("name", ["worked_example.py", "resource_scaling.py", "precision_sweep.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out

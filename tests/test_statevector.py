@@ -429,6 +429,165 @@ def test_extract_validates_input():
 
 
 # ----------------------------------------------------------------------
+# factored and merged qubits
+
+
+def basis_mask(layout, qubit, bit):
+    indices = np.arange(1 << layout.total)
+    return ((indices >> layout.bit_position(qubit)) & 1) == bit
+
+
+def operations(total):
+    """Gates, single-qubit post-selections and copies on a register of ``total`` qubits."""
+    qubit = st.integers(0, total - 1)
+    mcx = st.lists(qubit, min_size=1, max_size=4, unique=True).flatmap(
+        lambda qubits: st.lists(
+            st.integers(0, 1), min_size=len(qubits) - 1, max_size=len(qubits) - 1
+        ).map(lambda bits: MCX(tuple(zip(qubits[1:], bits)), qubits[0]))
+    )
+    return st.one_of(
+        st.builds(Hadamard, qubit),
+        st.builds(PhaseK, qubit, st.integers(1, 6)),
+        mcx,
+        st.tuples(st.just("postselect"), qubit, st.integers(0, 1)),
+        st.just("copy"),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_factored_and_merged_qubits_match_dense_reference(data):
+    layout = data.draw(st.sampled_from([RegisterLayout(1, 1), RegisterLayout(2, 1)]))
+    total = layout.total
+    state = StateVector.ground(layout)
+    reference = np.zeros(1 << total, dtype=np.complex128)
+    reference[0] = 1.0
+    snapshots = []  # (earlier state, its amplitudes when left behind)
+    for op in data.draw(st.lists(operations(total), max_size=14)):
+        if op == "copy":
+            snapshots.append((state, state.amplitudes.copy()))
+            state = state.copy()
+        elif isinstance(op, tuple):
+            _, qubit, bit = op
+            mask = basis_mask(layout, qubit, bit)
+            weight = float(np.sum(np.abs(reference[mask]) ** 2))
+            # renormalizing a faint branch magnifies rounding in any kernel
+            if weight < 1e-2:
+                continue
+            source, before = state, state.amplitudes.copy()
+            state, probability = source.postselect([(qubit, bit)])
+            assert abs(probability - weight) < 1e-12
+            assert np.array_equal(source.amplitudes, before)
+            reference = np.where(mask, reference, 0.0) / np.sqrt(weight)
+        else:
+            state.apply(op)
+            reference = dense_unitary(total, op) @ reference
+            assert abs(state.norm() - 1.0) < 1e-12
+        assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+    for earlier, amplitudes in snapshots:
+        assert np.array_equal(earlier.amplitudes, amplitudes)
+
+
+def mixed_state():
+    """Qubits 0 and 1 merged into a Bell pair; 3 in |+>, 5 in (|0> + i|1>)/sqrt(2)
+    and the rest in |0>, all still factored."""
+    state = StateVector.ground(SMALL).apply(Hadamard(0)).apply(MCX(((0, 1),), 1))
+    return state.apply(Hadamard(3)).apply(Hadamard(5)).apply(PhaseK(5, 2))
+
+
+def test_amplitudes_are_read_only():
+    for state in (mixed_state(), bell_state()):
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
+
+
+def test_writing_to_a_copy_leaves_the_original():
+    original = mixed_state()
+    before = original.amplitudes.copy()
+    duplicate = original.copy()
+    # one gate on a factored qubit, one on the core, one merging both
+    duplicate.apply(Hadamard(3)).apply(PhaseK(0, 1)).apply(MCX(((5, 1),), 1))
+    duplicate.apply_projector_terms([(((4, 0),), (6,))])
+    assert np.array_equal(original.amplitudes, before)
+    assert np.max(np.abs(duplicate.amplitudes - before)) > 0.1
+
+
+def test_probability_on_factored_and_merged_qubits():
+    state = mixed_state()
+    dense = StateVector.from_amplitudes(SMALL, state.amplitudes)
+    patterns = (
+        [(3, 1)],
+        [(4, 1)],
+        [(0, 1), (1, 1)],
+        [(0, 1), (1, 0)],
+        [(1, 0), (3, 1), (5, 0)],
+    )
+    for pattern, expected in zip(patterns, (0.5, 0.0, 0.5, 0.0, 0.125)):
+        assert abs(state.probability(pattern) - expected) < 1e-12
+        assert abs(dense.probability(pattern) - expected) < 1e-12
+
+
+def test_extract_reads_factored_qubits():
+    state = mixed_state()
+    half = 2 ** -0.5
+    plus, rotated = np.array([half, half]), np.array([half, 1j * half])
+    # a picked qubit that is still factored, alone and next to the core
+    assert np.max(np.abs(align_phase(state.extract([5]), rotated) - rotated)) < 1e-12
+    bell = np.array([half, 0, 0, half])
+    for picked, expected in (
+        ([0, 1, 3], np.kron(bell, plus)),
+        ([3, 0, 1], np.kron(plus, bell)),  # the first named qubit is the MSB
+        ([5, 3], np.kron(rotated, plus)),
+    ):
+        vec = state.extract(picked)
+        assert np.max(np.abs(align_phase(vec, expected) - expected)) < 1e-12
+    # half of the merged Bell pair stays entangled with the other half
+    for picked in ([0], [1, 3], [5, 1]):
+        with pytest.raises(EntanglementError):
+            state.extract(picked)
+    # extraction merges nothing into the state it reads
+    assert np.array_equal(state.amplitudes, mixed_state().amplitudes)
+
+
+def test_postselect_on_factored_and_core_qubits():
+    for pattern, expected in (([(5, 1)], 0.5), ([(0, 1)], 0.5), ([(1, 0), (3, 1)], 0.25)):
+        state = mixed_state()
+        before = state.amplitudes.copy()
+        kept, probability = state.postselect(pattern)
+        assert abs(probability - expected) < 1e-12
+        assert np.array_equal(state.amplitudes, before)
+        mask = np.ones(1 << SMALL.total, dtype=bool)
+        for qubit, bit in pattern:
+            mask &= basis_mask(SMALL, qubit, bit)
+        reference = np.where(mask, before, 0.0) / np.sqrt(expected)
+        assert np.max(np.abs(kept.amplitudes - reference)) < 1e-12
+        assert abs(kept.norm() - 1.0) < 1e-12
+
+
+def test_product_matches_kron():
+    half = 2 ** -0.5
+    # qubit 2's factor is left unnormalized: the norm and branch weights keep it
+    factors = {1: (half, half), 2: (1.0, 1.0), 4: (0.6, 0.8j), 6: (0.0, 1.0)}
+    state = StateVector.product(SMALL, factors)
+    expected = np.ones(1)
+    for qubit in range(SMALL.total):
+        expected = np.kron(expected, factors.get(qubit, (1.0, 0.0)))
+    assert np.max(np.abs(state.amplitudes - expected)) < 1e-15
+    assert abs(state.norm() - np.linalg.norm(expected)) < 1e-12
+    for pattern in ([(0, 0)], [(2, 1), (4, 1)], [(6, 0)]):
+        mask = np.ones(1 << SMALL.total, dtype=bool)
+        for qubit, bit in pattern:
+            mask &= basis_mask(SMALL, qubit, bit)
+        direct = float(np.sum(np.abs(expected[mask]) ** 2))
+        assert abs(state.probability(pattern) - direct) < 1e-12
+    for bad in ({SMALL.total: (1, 0)}, {0: (1, 0, 0)}, {0: (0, 0)}):
+        with pytest.raises(ValueError):
+            StateVector.product(SMALL, bad)
+    with pytest.raises(CapacityError):
+        StateVector.product(RegisterLayout(1, 2), {}, max_qubits=8)
+
+
+# ----------------------------------------------------------------------
 # phase alignment
 
 
