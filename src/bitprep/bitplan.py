@@ -34,6 +34,7 @@ target's ratios while each level moves closer to its own magnitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ from .errors import PrecisionError
 Array = np.ndarray
 
 _NORM_TOL = 1e-9
+
+# decompose holds 2**m itself in int64 while rounding, so m stops at 62
+_MAX_PRECISION = 62
 
 
 def _as_readonly(values, dtype) -> Array:
@@ -200,10 +204,14 @@ class BitPlan:
         return self.phase_ints / float(1 << self.m)
 
     @property
+    def scale_sq(self) -> int:
+        """G**2 = sum_j a_j**2, exact: Python integers do not wrap where int64 would."""
+        return sum(a * a for a in self.amp_ints.tolist())
+
+    @property
     def scale(self) -> float:
         """Normalization G = sqrt(sum_j a_j**2)."""
-        a = self.amp_ints
-        return float(np.sqrt(float((a * a).sum())))
+        return math.sqrt(self.scale_sq)
 
 
 def smallest_viable_precision(target: TargetState) -> int:
@@ -225,9 +233,16 @@ def decompose(target: TargetState, m: int) -> BitPlan:
     PrecisionError
         If every magnitude rounds to level 0; the message names the
         smallest precision that keeps the target alive.
+    ValueError
+        If m is below 1, or above 62, where the levels would overflow int64.
     """
     if m < 1:
         raise ValueError(f"precision must be >= 1, got m={m}")
+    if m > _MAX_PRECISION:
+        raise ValueError(
+            f"precision m={m} exceeds the int64 limit: levels up to 2**m must "
+            f"fit in int64, so m <= {_MAX_PRECISION}"
+        )
     levels = 1 << m
     a = np.floor(target.magnitudes * levels + 0.5).astype(np.int64)
     np.minimum(a, levels - 1, out=a)

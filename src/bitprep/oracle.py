@@ -69,7 +69,7 @@ class StagePrediction:
     def _gather(self, state: StateVector) -> Array:
         if state.layout != self.layout:
             raise ValueError("state layout does not match prediction layout")
-        return state.amplitudes[self.components]
+        return state.amplitudes_at(self.components)
 
 
 def _index(layout: RegisterLayout, *registers: tuple[tuple[int, ...], Array | int]) -> Array:
@@ -219,9 +219,7 @@ def naive_success_probability(plan: BitPlan, *, verify: bool = False, max_qubits
     checked, to 1e-12, against the squared norm of the flag=meter=1
     branch of a projector-path execution.
     """
-    a = plan.amp_ints
-    scale_sq = int((a * a).sum())
-    formula = scale_sq / (1 << (plan.n + 4 * plan.m))
+    formula = plan.scale_sq / (1 << (plan.n + 4 * plan.m))
     if verify:
         layout = RegisterLayout(plan.n, plan.m)
         labeled = run_projector_path(plan, max_qubits=max_qubits)[4]

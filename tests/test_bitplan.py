@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from bitprep import (
     TargetState,
     decompose,
     fidelity,
+    naive_success_probability,
     reconstruct,
     smallest_viable_precision,
 )
@@ -214,6 +217,21 @@ def test_all_zero_plan_names_viable_precision():
 def test_decompose_rejects_bad_precision():
     with pytest.raises(ValueError):
         decompose(util.worked_target(), 0)
+    for m in (63, 64):
+        with pytest.raises(ValueError, match="int64"):
+            decompose(util.worked_target(), m)
+
+
+@pytest.mark.parametrize("m", [31, 32, 40, 62])
+def test_wide_precision_scale_is_exact(m):
+    # from m = 32 the two levels' squares sum past 2**63
+    plan = decompose(util.worked_target(), m)
+    exact = sum(Fraction(a) ** 2 for a in plan.amp_ints.tolist())
+    assert plan.scale_sq == exact
+    assert abs(Fraction(plan.scale) ** 2 / exact - 1) < 1e-15
+    law = exact / 2 ** (plan.n + 4 * m)
+    assert abs(Fraction(naive_success_probability(plan)) / law - 1) < 1e-15
+    assert abs(fidelity(reconstruct(plan), util.worked_target()) - 1.0) < 1e-12
 
 
 # ----------------------------------------------------------------------

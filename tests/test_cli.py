@@ -220,6 +220,16 @@ def test_too_wide_for_numpy_is_exit_3(tmp_path, capsys, m):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("m, code", [(40, 3), (63, 2), (70, 2)])
+def test_wide_precision_is_one_line_error(tmp_path, capsys, m, code):
+    # m = 40 quantizes exactly but needs 85 qubits; from m = 63 the levels overflow int64
+    target = write(tmp_path, "t.target", "n 1\npolar 0.6 0.0\npolar 0.8 0.25\n")
+    assert main([str(target), "--m", str(m), "--max-qubits", "100"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_memory_error_is_exit_3(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.00 TiB")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import util
 from bitprep import (
     MCX,
     CapacityError,
@@ -12,6 +13,9 @@ from bitprep import (
     RegisterLayout,
     StateVector,
     align_phase,
+    compile_circuit,
+    reconstruct,
+    simulate,
 )
 
 SMALL = RegisterLayout(1, 1)  # 7 qubits, 128 amplitudes
@@ -428,6 +432,82 @@ def test_extract_validates_input():
         state.extract([SMALL.total])
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    layout=st.sampled_from([RegisterLayout(1, 1), RegisterLayout(2, 1)]),
+    picks=st.integers(1, 3),
+    size_exp=st.floats(-9.0, -1.0),
+    tol_exp=st.floats(-14.0, -2.0),
+)
+def test_extract_matches_gram_eigh_reference(seed, layout, picks, size_exp, tol_exp):
+    # a product of the picked qubits and the rest, plus an entangling perturbation
+    rng = np.random.default_rng(seed)
+    picked = [int(q) for q in rng.permutation(layout.total)[:picks]]
+    rest = [q for q in range(layout.total) if q not in picked]
+
+    def unit(*shape):
+        vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return vec / np.linalg.norm(vec)
+
+    matrix = np.outer(unit(1 << picks), unit(1 << len(rest)))
+    matrix += 10.0 ** size_exp * unit(1 << picks, 1 << len(rest))
+    vec = matrix[util.subsystem_values(layout, picked), util.subsystem_values(layout, rest)]
+    state = StateVector.from_amplitudes(layout, vec / np.linalg.norm(vec))
+    tol = 10.0 ** tol_exp
+
+    residual, top = util.gram_top_eigenpair(state, picked)
+    if residual > tol:
+        with pytest.raises(EntanglementError):
+            state.extract(picked, tol=tol)
+    else:
+        extracted = state.extract(picked, tol=tol)
+        assert abs(np.vdot(top, extracted)) ** 2 >= 1.0 - 1e-12
+
+
+def count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_extract_falls_back_when_the_bound_fails(monkeypatch):
+    # qubit 0 is |0> spread evenly over the 64 rest values, plus a faint |1>
+    # on one of them: that column is the heaviest but leans towards |1>
+    matrix = np.zeros((2, 64), dtype=np.complex128)
+    matrix[0, :] = 1.0 / 8.0
+    matrix[1, 5] = 5e-4
+    vec = matrix[util.subsystem_values(SMALL, [0]), util.subsystem_values(SMALL, range(1, 7))]
+    state = StateVector.from_amplitudes(SMALL, vec / np.linalg.norm(vec))
+    tol = 1e-6
+    weights = np.sum(np.abs(matrix) ** 2, axis=0)
+    heaviest = matrix[:, np.argmax(weights)] / np.sqrt(weights.max())
+    bound = 1.0 - np.sum(np.abs(heaviest.conj() @ matrix) ** 2) / weights.sum()
+    residual, top = util.gram_top_eigenpair(state, [0])
+    assert residual <= tol < bound
+
+    calls = count_eigh(monkeypatch)
+    extracted = state.extract([0], tol=tol)
+    assert len(calls) == 1
+    assert abs(np.vdot(top, extracted)) ** 2 >= 1.0 - 1e-12
+
+
+def test_extract_skips_eigh_on_a_compiled_final_state(monkeypatch):
+    plan = util.random_plan(np.random.default_rng(33), 3, 3)
+    run = simulate(compile_circuit(plan))
+    calls = count_eigh(monkeypatch)
+    extracted = run.final.extract(RegisterLayout(3, 3).system)
+    assert calls == []
+    expected = reconstruct(plan).amplitudes
+    assert abs(np.vdot(expected, extracted)) ** 2 >= 1.0 - 1e-12
+
+
 # ----------------------------------------------------------------------
 # factored and merged qubits
 
@@ -547,6 +627,37 @@ def test_extract_reads_factored_qubits():
             state.extract(picked)
     # extraction merges nothing into the state it reads
     assert np.array_equal(state.amplitudes, mixed_state().amplitudes)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_amplitudes_at_matches_the_full_vector(data):
+    layout = data.draw(st.sampled_from([RegisterLayout(1, 1), RegisterLayout(2, 1)]))
+    total = layout.total
+    # qubits 0 and 1 merged, 3 a factor in |+>, the rest |0> factors
+    state = StateVector.ground(layout).apply(Hadamard(0)).apply(MCX(((0, 1),), 1))
+    state.apply(Hadamard(3))
+    for op in data.draw(st.lists(operations(total), min_size=4, max_size=12)):
+        if op == "copy":
+            state = state.copy()
+        elif isinstance(op, tuple):
+            _, qubit, bit = op
+            if state.probability([(qubit, bit)]) >= 1e-2:
+                state, _ = state.postselect([(qubit, bit)])
+        else:
+            state.apply(op)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    indices = rng.integers(0, 1 << total, size=int(rng.integers(0, 65)))
+    gathered = state.amplitudes_at(indices)
+    assert gathered.shape == indices.shape
+    assert np.max(np.abs(gathered - state.amplitudes[indices]), initial=0.0) <= 1e-15
+
+
+def test_amplitudes_at_rejects_indices_outside_the_register():
+    state = mixed_state()
+    for indices in ([-1], [0, 1 << SMALL.total]):
+        with pytest.raises(ValueError):
+            state.amplitudes_at(np.array(indices, dtype=np.int64))
 
 
 def test_postselect_on_factored_and_core_qubits():

@@ -56,3 +56,26 @@ def predicted_amplitude(pred, label, work, word, marks, outcome) -> complex:
     index = basis_index(pred.layout, label, work, word, marks, outcome)
     (position,) = np.flatnonzero(pred.components == index)
     return complex(pred.amplitudes[position])
+
+
+def subsystem_values(layout, qubits) -> np.ndarray:
+    """For every basis index, the value its bits on ``qubits`` spell,
+    the first qubit most significant."""
+    indices = np.arange(1 << layout.total)
+    values = np.zeros_like(indices)
+    for qubit in qubits:
+        values = (values << 1) | ((indices >> layout.bit_position(qubit)) & 1)
+    return values
+
+
+def gram_top_eigenpair(state, picked):
+    """Reference for ``StateVector.extract``: the residual weight
+    1 - lambda_max / trace of the picked qubits' Gram matrix and its top
+    eigenvector, from the full vector through ``numpy.linalg.eigh``."""
+    layout = state.layout
+    rest = [q for q in range(layout.total) if q not in picked]
+    matrix = np.zeros((1 << len(picked), 1 << len(rest)), dtype=np.complex128)
+    matrix[subsystem_values(layout, picked), subsystem_values(layout, rest)] = state.amplitudes
+    gram = matrix @ matrix.conj().T
+    evals, evecs = np.linalg.eigh(gram)
+    return 1.0 - evals[-1] / np.trace(gram).real, evecs[:, -1]
