@@ -34,7 +34,6 @@ from .errors import (
     EntanglementError,
     PrecisionError,
     TargetFileError,
-    VerificationError,
 )
 from .gates import MCX, Gate, Hadamard, PhaseK, gate_qubits
 from .layout import RegisterLayout
@@ -70,7 +69,6 @@ __all__ = [
     "StateVector",
     "TargetFileError",
     "TargetState",
-    "VerificationError",
     "align_phase",
     "analyze",
     "compile_circuit",

@@ -129,8 +129,6 @@ class TargetState:
         amps = np.asarray(amplitudes, dtype=np.complex128)
         mags = np.abs(amps)
         turns = np.angle(amps) / (2.0 * np.pi)
-        turns = np.mod(turns, 1.0)
-        turns[turns >= 1.0] = 0.0
         turns[mags == 0.0] = 0.0
         return cls.from_polar(mags, turns, normalize=normalize)
 

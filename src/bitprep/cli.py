@@ -13,8 +13,9 @@ Entries may instead use ``cart <re> <im>``; the two styles cannot be
 mixed and exactly 2**n entries are required.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or validation
-error, 3 capacity exceeded (over the qubit cap, wider than numpy can
-hold, or out of memory).
+error (or an input that cannot be read, or a --report or --export path
+that cannot be written), 3 capacity exceeded (over the qubit cap, checked
+before compiling; wider than numpy can hold; or out of memory).
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ from .errors import (
     PrecisionError,
     TargetFileError,
 )
+from .layout import RegisterLayout
 from .oracle import naive_success_probability, predict_stage, run_projector_path
 from .resources import analyze
+
+DEFAULT_MAX_QUBITS = 26
 
 _REPORT_MAGIC = "bitprep-report 1"
 _CHECK_ORDER = (*STAGE_NAMES, "measure", "probability", "disentangle", "output")
@@ -61,9 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-qubits",
         type=int,
-        default=None,
+        default=DEFAULT_MAX_QUBITS,
         metavar="K",
-        help="memory cap as a qubit count (default 26, i.e. 2**26 amplitudes)",
+        help=f"memory cap as a qubit count (default {DEFAULT_MAX_QUBITS}, "
+        f"i.e. 2**{DEFAULT_MAX_QUBITS} amplitudes)",
     )
     parser.add_argument(
         "--peephole",
@@ -133,8 +138,9 @@ def parse_target_file(text: str) -> tuple[int, int | None, TargetState]:
         raise TargetFileError(f"n must be >= 1, got {n}")
     if m is not None and m < 1:
         raise TargetFileError(f"m must be >= 1, got {m}")
-    expected = 1 << n
-    if len(entries) != expected:
+    # compare bit lengths first, so a huge n never builds 1 << n
+    if len(entries).bit_length() != n + 1 or len(entries) != 1 << n:
+        expected = 1 << n if n < 64 else f"2**{n}"
         raise TargetFileError(f"expected {expected} entries for n={n}, got {len(entries)}")
 
     try:
@@ -156,7 +162,7 @@ def _verify(args, plan, circuit, run, reconstruction):
     checks: dict[str, dict] = {}
 
     if args.stage_check:
-        reference = run_projector_path(plan, max_qubits=args.max_qubits)
+        reference = run_projector_path(plan)
         for index, name in enumerate((*STAGE_NAMES, "measure")):
             path_dev = float(
                 np.max(np.abs(run.stages[index].amplitudes - reference[index].amplitudes))
@@ -219,12 +225,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    width = RegisterLayout(plan.n, plan.m).total
+    if width > args.max_qubits:
+        print(
+            f"error: register needs {width} qubits (2**{width} amplitudes) but the cap "
+            f"is {args.max_qubits} qubits; raise the cap explicitly to proceed",
+            file=sys.stderr,
+        )
+        return 3
+
     circuit = compile_circuit(plan, peephole=args.peephole)
     report_resources = analyze(circuit, plan)
     compiled = time.perf_counter()
 
     try:
-        run = simulate(circuit, keep_stages=args.stage_check, max_qubits=args.max_qubits)
+        run = simulate(circuit, keep_stages=args.stage_check)
         simulated = time.perf_counter()
         reconstruction = reconstruct(plan)
         checks, _ = _verify(args, plan, circuit, run, reconstruction)
@@ -268,12 +283,17 @@ def main(argv=None) -> int:
         },
     }
 
-    if args.export:
-        Path(args.export).write_text(circuit.export_text(), encoding="utf-8", newline="\n")
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-        )
+    outputs = (
+        (args.export, circuit.export_text),
+        (args.report, lambda: json.dumps(report, indent=2, sort_keys=True) + "\n"),
+    )
+    for path, render in outputs:
+        if path:
+            try:
+                Path(path).write_text(render(), encoding="utf-8", newline="\n")
+            except OSError as exc:
+                print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+                return 2
 
     print(f"target: n={plan.n}, m={plan.m}, {1 << plan.n} components")
     print(f"plan: levels {report['plan']['amp_levels']}, scale {plan.scale!r}")

@@ -238,8 +238,8 @@ class SimRun:
     stages: tuple[StateVector, ...] | None = None
 
 
-def simulate(circuit: Circuit, *, keep_stages: bool = False, max_qubits: int | None = None) -> SimRun:
-    state = StateVector.ground(circuit.layout, max_qubits=max_qubits)
+def simulate(circuit: Circuit, *, keep_stages: bool = False) -> SimRun:
+    state = StateVector.ground(circuit.layout)
     checkpoints: list[StateVector] = []
     for _, start, stop in circuit.stages:
         for gate in circuit.gates[start:stop]:

@@ -6,7 +6,7 @@ class BitprepError(Exception):
 
 
 class CapacityError(BitprepError):
-    """The register would need more amplitudes than the configured cap."""
+    """The register is wider than one numpy array can hold."""
 
 
 class EntanglementError(BitprepError):
@@ -15,10 +15,6 @@ class EntanglementError(BitprepError):
 
 class PrecisionError(BitprepError):
     """Quantizing the target at the requested precision lost every amplitude."""
-
-
-class VerificationError(BitprepError):
-    """A cross-check between independent computation paths disagreed."""
 
 
 class TargetFileError(BitprepError):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitplan import BitPlan
-from .errors import VerificationError
 from .gates import Hadamard
 from .layout import RegisterLayout
 from .statevector import StateVector
@@ -136,15 +135,15 @@ def predict_stage(plan: BitPlan, stage: int) -> StagePrediction:
 # projector-algebra execution
 
 
-def _initial_superposition(layout: RegisterLayout, max_qubits: int | None = None) -> StateVector:
+def _initial_superposition(layout: RegisterLayout) -> StateVector:
     """The post-superpose state written down directly as a tensor product."""
     factors = {q: (_SQRT_HALF, _SQRT_HALF) for q in (*layout.system, *layout.amp)}
     for i, q in enumerate(layout.phase):
         factors[q] = (_SQRT_HALF, _SQRT_HALF * np.exp(2j * np.pi / (1 << (i + 1))))
-    return StateVector.product(layout, factors, max_qubits=max_qubits)
+    return StateVector.product(layout, factors)
 
 
-def run_projector_path(plan: BitPlan, *, max_qubits: int | None = None) -> tuple[StateVector, ...]:
+def run_projector_path(plan: BitPlan) -> tuple[StateVector, ...]:
     """Execute all six stages without compiling control patterns to gates.
 
     Returns the six stage states; the last one is post-measurement.
@@ -153,7 +152,7 @@ def run_projector_path(plan: BitPlan, *, max_qubits: int | None = None) -> tuple
     labels = 1 << plan.n
     states: list[StateVector] = []
 
-    state = _initial_superposition(layout, max_qubits=max_qubits)
+    state = _initial_superposition(layout)
     states.append(state.copy())
 
     # amplitude stage: mark, select, unwind, one amplitude bit at a time
@@ -212,20 +211,7 @@ def run_projector_path(plan: BitPlan, *, max_qubits: int | None = None) -> tuple
     return tuple(states)
 
 
-def naive_success_probability(plan: BitPlan, *, verify: bool = False, max_qubits: int | None = None) -> float:
-    """Probability a plain measurement would keep the encoding branch.
-
-    Exactly G**2 / 2**(n + 4m).  With ``verify=True`` the value is also
-    checked, to 1e-12, against the squared norm of the flag=meter=1
-    branch of a projector-path execution.
-    """
-    formula = plan.scale_sq / (1 << (plan.n + 4 * plan.m))
-    if verify:
-        layout = RegisterLayout(plan.n, plan.m)
-        labeled = run_projector_path(plan, max_qubits=max_qubits)[4]
-        measured = labeled.probability(((layout.flag, 1), (layout.meter, 1)))
-        if abs(measured - formula) > 1e-12:
-            raise VerificationError(
-                f"branch norm {measured!r} disagrees with closed form {formula!r}"
-            )
-    return formula
+def naive_success_probability(plan: BitPlan) -> float:
+    """Probability a plain measurement would keep the encoding branch:
+    exactly G**2 / 2**(n + 4m)."""
+    return plan.scale_sq / (1 << (plan.n + 4 * plan.m))

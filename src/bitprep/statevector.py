@@ -35,8 +35,6 @@ from .layout import RegisterLayout
 
 Array = np.ndarray
 
-DEFAULT_MAX_QUBITS = 26
-
 # widest register numpy can allocate: the vector's 2**(total + 4) bytes must
 # fit in np.intp, which allows 58 qubits on 64-bit builds (numpy's limit of 64
 # axes, one per qubit, is looser)
@@ -75,24 +73,21 @@ class StateVector:
     # construction
 
     @classmethod
-    def ground(cls, layout: RegisterLayout, max_qubits: int | None = None) -> "StateVector":
+    def ground(cls, layout: RegisterLayout) -> "StateVector":
         """All-zeros basis state.
 
         Raises
         ------
         CapacityError
-            If the register needs more than 2**max_qubits amplitudes
-            (default cap 2**26), or is wider than one numpy array can
-            hold, whatever the cap.
+            If the register is wider than one numpy array can hold.
         """
-        return cls.product(layout, {}, max_qubits=max_qubits)
+        return cls.product(layout, {})
 
     @classmethod
     def product(
         cls,
         layout: RegisterLayout,
         factors: Mapping[int, Sequence[complex]],
-        max_qubits: int | None = None,
     ) -> "StateVector":
         """Product state: ``factors`` maps qubits to 2-vectors, and every
         qubit not named starts in |0>.
@@ -106,12 +101,6 @@ class StateVector:
             If a qubit is outside the register or a factor is not a
             non-zero 2-vector.
         """
-        cap = DEFAULT_MAX_QUBITS if max_qubits is None else int(max_qubits)
-        if layout.total > cap:
-            raise CapacityError(
-                f"register needs {layout.total} qubits (2**{layout.total} amplitudes) "
-                f"but the cap is {cap} qubits; raise the cap explicitly to proceed"
-            )
         if layout.total > _WIDEST:
             raise CapacityError(
                 f"register needs {layout.total} qubits but numpy cannot hold a dense "

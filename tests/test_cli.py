@@ -179,6 +179,29 @@ def test_bad_file_is_exit_2_and_writes_nothing(tmp_path, capsys):
     assert not export_path.exists()
 
 
+@pytest.mark.parametrize("n, expected", [
+    (40, "expected 1099511627776 entries"),
+    (10 ** 7, "expected 2**10000000 entries"),
+    (10 ** 12, "expected 2**1000000000000 entries"),
+], ids=["40", "1e7", "1e12"])
+def test_huge_n_is_one_line_error(tmp_path, capsys, n, expected):
+    target = write(tmp_path, "huge.target", f"n {n}\nm 2\npolar 1 0\npolar 0 0\n")
+    assert main([str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{expected} for n={n}, got 2" in err
+
+
+@pytest.mark.parametrize("flag", ["--report", "--export"])
+def test_unwritable_output_is_exit_2(tmp_path, capsys, flag):
+    target = write(tmp_path, "t.target", WORKED_TARGET)
+    path = tmp_path / "absent" / "out.txt"
+    assert main([str(target), flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_missing_precision_is_exit_2(tmp_path, capsys):
     target = write(tmp_path, "nom.target", "n 1\npolar 1 0\npolar 0 0\n")
     assert main([str(target)]) == 2
@@ -209,6 +232,30 @@ def test_capacity_is_exit_3(tmp_path, capsys):
     assert main([str(target), "--max-qubits", "8"]) == 3
     assert "qubit" in capsys.readouterr().err
     assert main([str(target), "--max-qubits", "9"]) == 0
+
+
+def test_default_cap_is_checked_before_compiling(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an over-cap target was compiled")
+
+    monkeypatch.setattr(cli_mod, "compile_circuit", never)
+    entries = "polar 1 0\n" + "polar 0 0\n" * 1023
+    target = write(tmp_path, "wide.target", "n 10\nm 10\n" + entries)  # width 34
+    assert main([str(target)]) == 3
+    assert capsys.readouterr().err == (
+        "error: register needs 34 qubits (2**34 amplitudes) but the cap is 26 qubits; "
+        "raise the cap explicitly to proceed\n"
+    )
+
+
+def test_raised_cap_reaches_the_simulator(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB")
+
+    monkeypatch.setattr(StateVector, "ground", exhausted)
+    target = write(tmp_path, "t.target", "n 1\nm 11\npolar 0.6 0\npolar 0.8 0.25\n")  # width 27
+    assert main([str(target), "--max-qubits", "27"]) == 3
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 2.00 GiB\n"
 
 
 @pytest.mark.parametrize("m", [30, 27])  # widths 65 and 59, both past numpy's array limit

@@ -1,14 +1,24 @@
-"""Every demo runs end to end."""
+"""Every demo, and the README's library quickstart, runs end to end."""
 
 import pathlib
+import re
 import runpy
 
 import pytest
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", ["worked_example.py", "resource_scaling.py", "precision_sweep.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quickstart_runs(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

@@ -269,9 +269,15 @@ def test_projector_path_matches_predictions():
 # success probability
 
 
+def branch_probability(plan):
+    """Squared norm of the flag=meter=1 branch after the projector path's label stage."""
+    layout = RegisterLayout(plan.n, plan.m)
+    return run_projector_path(plan)[4].probability(((layout.flag, 1), (layout.meter, 1)))
+
+
 def test_worked_probability_is_exact():
     assert naive_success_probability(WORKED) == 13.0 / 512.0
-    assert naive_success_probability(WORKED, verify=True) == 13.0 / 512.0
+    assert abs(branch_probability(WORKED) - 13.0 / 512.0) < 1e-12
 
 
 def test_single_component_probability():
@@ -300,4 +306,6 @@ def test_probability_matches_simulation():
     for _ in range(4):
         plan = util.random_plan(rng, int(rng.integers(1, 3)), int(rng.integers(1, 4)))
         run = simulate(compile_circuit(plan))
-        assert abs(run.probability - naive_success_probability(plan, verify=True)) < 1e-12
+        formula = naive_success_probability(plan)
+        assert abs(branch_probability(plan) - formula) < 1e-12
+        assert abs(run.probability - formula) < 1e-12
