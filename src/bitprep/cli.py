@@ -164,9 +164,7 @@ def _verify(args, plan, circuit, run, reconstruction):
     if args.stage_check:
         reference = run_projector_path(plan)
         for index, name in enumerate((*STAGE_NAMES, "measure")):
-            path_dev = float(
-                np.max(np.abs(run.stages[index].amplitudes - reference[index].amplitudes))
-            )
+            path_dev = run.stages[index].max_difference(reference[index])
             predicted_dev = predict_stage(plan, index + 1).max_deviation(run.stages[index])
             checks[name] = {
                 "pass": bool(path_dev <= 1e-12 and predicted_dev <= 1e-12),

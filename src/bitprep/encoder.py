@@ -86,12 +86,6 @@ class Circuit:
             if not 0 <= qubit < self.layout.total:
                 raise ValueError(f"terminal measurement touches qubit {qubit} outside layout")
 
-    def stage_gates(self, name: str) -> tuple[Gate, ...]:
-        for stage, start, stop in self.stages:
-            if stage == name:
-                return self.gates[start:stop]
-        raise KeyError(f"no stage named {name!r}")
-
     def export_text(self) -> str:
         """Deterministic text form; see :func:`parse_circuit`."""
         lines = [_FORMAT_MAGIC, f"n {self.layout.n}", f"m {self.layout.m}"]
@@ -328,19 +322,22 @@ def parse_circuit(text: str) -> Circuit:
     if terminal is None:
         raise CircuitFormatError("missing terminal CMEAS line")
 
-    layout = RegisterLayout(header["n"], header["m"])
-    expected_regs = list(layout.register_table())
-    if registers and registers != expected_regs:
-        raise CircuitFormatError(
-            f"register table {registers} does not match n={layout.n}, m={layout.m}"
-        )
-
-    gates: list[Gate] = []
-    stages: list[tuple[str, int, int]] = []
-    for name, part in stage_rows:
-        stages.append((name, len(gates), len(gates) + len(part)))
-        gates.extend(part)
-    return Circuit(layout=layout, gates=tuple(gates), stages=tuple(stages), terminal=terminal)
+    # the layout and the circuit check the header, the stages and every qubit
+    try:
+        layout = RegisterLayout(header["n"], header["m"])
+        expected_regs = list(layout.register_table())
+        if registers and registers != expected_regs:
+            raise CircuitFormatError(
+                f"register table {registers} does not match n={layout.n}, m={layout.m}"
+            )
+        gates: list[Gate] = []
+        stages: list[tuple[str, int, int]] = []
+        for name, part in stage_rows:
+            stages.append((name, len(gates), len(gates) + len(part)))
+            gates.extend(part)
+        return Circuit(layout=layout, gates=tuple(gates), stages=tuple(stages), terminal=terminal)
+    except ValueError as exc:
+        raise CircuitFormatError(str(exc)) from exc
 
 
 def _parse_int(token: str, lineno: int) -> int:

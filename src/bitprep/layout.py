@@ -9,7 +9,7 @@ of hand-rolling shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 ControlPattern = tuple[tuple[int, int], ...]
 
@@ -89,12 +89,6 @@ class RegisterLayout:
             (q, (label >> (self.n - 1 - i)) & 1) for i, q in enumerate(self.system)
         )
 
-    def amp_pattern(self, value: int) -> ControlPattern:
-        """Control pattern pinning the amp register to integer ``value``."""
-        if not 0 <= value < 1 << self.m:
-            raise ValueError(f"work value {value} outside [0, 2**{self.m})")
-        return tuple((q, (value >> i) & 1) for i, q in enumerate(self.amp))
-
     def phase_pattern(self, bits: Sequence[int]) -> ControlPattern:
         """Control pattern pinning the phase register to a bit word.
 
@@ -107,25 +101,6 @@ class RegisterLayout:
         if any(b not in (0, 1) for b in word):
             raise ValueError(f"phase word must be 0/1 bits, got {bits!r}")
         return tuple(zip(self.phase, word))
-
-    def index_of(self, assignment: Iterable[tuple[int, int]]) -> int:
-        """Basis index of a full qubit assignment (every qubit exactly once)."""
-        seen: dict[int, int] = {}
-        for qubit, bit in assignment:
-            if bit not in (0, 1):
-                raise ValueError(f"bit for qubit {qubit} must be 0 or 1, got {bit}")
-            if qubit in seen:
-                raise ValueError(f"qubit {qubit} assigned twice")
-            self.bit_position(qubit)
-            seen[qubit] = bit
-        if len(seen) != self.total:
-            raise ValueError(
-                f"assignment covers {len(seen)} of {self.total} qubits; need all"
-            )
-        index = 0
-        for qubit, bit in seen.items():
-            index |= bit << self.bit_position(qubit)
-        return index
 
     def register_table(self) -> tuple[tuple[str, int, int], ...]:
         """Named (first, last) qubit ranges, in global order."""

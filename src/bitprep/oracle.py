@@ -60,11 +60,6 @@ class StagePrediction:
         deviation = np.abs(self._gather(state) - self.amplitudes)
         return float(deviation.max(initial=0.0))
 
-    def measured_norm_sq(self, state: StateVector) -> float:
-        """Squared norm the simulated state carries on the predicted components."""
-        gathered = self._gather(state)
-        return float(np.vdot(gathered, gathered).real)
-
     def _gather(self, state: StateVector) -> Array:
         if state.layout != self.layout:
             raise ValueError("state layout does not match prediction layout")

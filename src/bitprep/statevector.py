@@ -1,30 +1,55 @@
-"""Register state as a dense core times exact single-qubit factors.
+"""Register state as a short sum of blocks, each a dense core times exact
+single-qubit factors.
 
-A state is held in two parts.  The core is a complex128 tensor of shape
+A block holds two parts.  The core is a complex128 tensor of shape
 ``(2,) * len(axes)`` over the merged qubits, ``axes``, in ascending qubit
 order.  Every other qubit is an exact factor: a 2-vector in a dict, never
-written in place, so copies can share it.  The full vector is the tensor
-product of the core and the factors, and one addressing rule holds for
-it: qubit 0 is the most significant bit of a basis index.  In the core,
-qubit ``axes[i]`` is axis i, so fixing some core qubits to bits is a
-basic slice, and every kernel works on such writable views without
-building index arrays; single-qubit gates merge the axes on either side
-of the target, ``reshape(2**i, 2, -1)``.
+written in place, so copies can share it.  A block's amplitudes are the
+tensor product of its core and its factors, the state's are the sum over
+its blocks, and one addressing rule holds throughout: qubit 0 is the most
+significant bit of a basis index.  In a core, qubit ``axes[i]`` is axis
+i, so fixing some core qubits to bits is a basic slice, and every kernel
+works on such writable views without building index arrays;
+single-qubit gates merge the axes on either side of the target,
+``reshape(2**i, 2, -1)``.
 
-``ground`` starts with an empty core and every qubit a |0> factor.
-Hadamard and phase gates on a factored qubit update its 2-vector.  A gate
-or projector term touching factored qubits first multiplies all of them
-into the core, in one allocation, and then runs on the core in place.
-Post-selection slices the core and turns each fixed qubit back into a
-basis factor, so it never fills a full-width vector; ``amplitudes``
-materialises the full vector only when asked, and ``amplitudes_at``
-reads chosen amplitudes without it.  A single StateVector must
-only ever be written from one thread, but distinct vectors are
-independent.
+``ground`` starts with one block: an empty core and every qubit a |0>
+factor.  Hadamard and phase gates on a factored qubit update its
+2-vector.  A gate or projector term touching factored qubits first
+multiplies all of them into the core, in one allocation, and then runs on
+the core in place.  The basis factors |0> and |1> are two shared
+read-only kets, recognised by identity.
+
+Blocks come from one rule.  An MCX whose target is a basis factor in
+every block, and whose controls are each a core qubit or a factor with
+an exact zero entry (a basis factor, say), splits instead of merging its
+target.  In each block a factored control that can never match leaves
+the block untouched, and one that always matches is dropped.  With no
+core control left, the target's factor flips in place; otherwise the
+slice the core controls select is copied into a new block, with those
+controls and the flipped target as basis factors, and zeroed in place,
+at a cost of O(slice).  The target becomes a key qubit.  Invariant: any
+two blocks differ on a key qubit that is a basis factor in both, so
+blocks have disjoint support, and norms, probabilities and
+post-selection weights add over blocks.  Every other gate runs block by
+block, with factored controls resolved as above so that keys stay
+factors.  The exception is a Hadamard, phase or MCX
+whose target is a key qubit: it first sums the blocks back into one core
+over the union of their axes (merge-back).
+
+Post-selection slices each block's core, skips a block that one of its
+factors rules out without reading its core, and turns each fixed qubit
+into a basis factor, so it never fills a full-width vector.
+``amplitudes`` materialises the full vector only when asked,
+``amplitudes_at`` reads chosen amplitudes without it, and
+``max_difference`` compares two states block against block.  A single
+StateVector must only ever be written from one thread, but distinct
+vectors are independent.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,27 +72,201 @@ _SQRT_HALF = 2.0 ** -0.5
 # up to 1e-5 its answer is the eigendecomposition's to within 1e-15
 _POWER_STEP_BOUND = 1e-5
 
-# rows are the |0> and |1> factors, shared by every state that uses them
+# the |0> and |1> factors, shared by every state that uses them: a factor
+# is a basis ket exactly when it is one of these two objects
 _BASIS = np.eye(2, dtype=np.complex128)
 _BASIS.flags.writeable = False
+_ZERO, _ONE = _KETS = tuple(_BASIS)
+
+
+def _same(factor: Array | None, other: Array) -> bool:
+    return factor is other or (factor is not None and np.array_equal(factor, other))
+
+
+class _Block:
+    """One term of a state: a dense core over ``axes`` times exact factors."""
+
+    __slots__ = ("core", "axes", "factors")
+
+    def __init__(self, core: Array, axes: tuple[int, ...], factors: dict[int, Array]):
+        self.core = core
+        self.axes = axes
+        self.factors = factors
+
+    def copy(self) -> "_Block":
+        return _Block(self.core.copy(), self.axes, dict(self.factors))
+
+    def norm(self) -> float:
+        norm = float(np.linalg.norm(self.core))
+        for factor in self.factors.values():
+            norm *= float(np.linalg.norm(factor))
+        return norm
+
+    def merged(self, qubits: Iterable[int]) -> tuple[tuple[int, ...], Array]:
+        """Core axes and tensor with the factored ``qubits`` multiplied in.
+
+        The block is left unchanged; with nothing to merge the core itself
+        is returned.  The factors' joint tensor is built first, so the
+        result is the only allocation of its size.
+        """
+        new = sorted({q for q in qubits if q in self.factors})
+        if not new:
+            return self.axes, self.core
+        joint = self.factors[new[-1]]
+        if not self.axes:  # a scalar core rides on the last factor
+            joint = joint * self.core
+        # growing from the last qubit keeps the large operand innermost
+        for qubit in reversed(new[:-1]):
+            joint = np.multiply.outer(self.factors[qubit], joint)
+        if not self.axes:
+            return tuple(new), joint
+        axes = tuple(sorted((*self.axes, *new)))
+        in_core = set(self.axes)
+        core = self.core.reshape([2 if q in in_core else 1 for q in axes])
+        joint = joint.reshape([1 if q in in_core else 2 for q in axes])
+        return axes, np.multiply(core, joint, out=np.empty((2,) * len(axes), np.complex128))
+
+    def merge(self, qubits: Sequence[int]) -> None:
+        """Move the factored ``qubits`` into the core."""
+        if any(q in self.factors for q in qubits):
+            self.axes, self.core = self.merged(qubits)
+            for qubit in qubits:
+                self.factors.pop(qubit, None)
+
+    def view(self, pattern: Iterable[tuple[int, int]]) -> Array:
+        """Writable view of the core matching a (qubit, bit) pattern on core qubits.
+
+        Its axes are the unfixed core qubits in ascending order; with
+        every core qubit fixed it is a 0-d view, not a copied scalar.
+        """
+        index: list[int | slice] = [slice(None)] * len(self.axes)
+        for qubit, bit in pattern:
+            index[self.axes.index(qubit)] = bit
+        return self.core[(*index, ...)]
+
+    def gather(self, indices: Array, position) -> Array:
+        """Amplitudes at basis ``indices``: the core entry the core qubits'
+        bits select times the factor entries of the factored qubits' bits."""
+        core_index = np.zeros(indices.shape, dtype=np.int64)
+        for qubit in self.axes:
+            core_index = (core_index << 1) | ((indices >> position(qubit)) & 1)
+        values = self.core.reshape(-1)[core_index]
+        for qubit, factor in self.factors.items():
+            values *= factor[(indices >> position(qubit)) & 1]
+        return values
+
+    def branch(self, fixed: dict[int, int]) -> tuple[Array, complex, float] | None:
+        """The core slice of a pattern's branch, the amplitude its fixed
+        factored qubits contribute, and the branch's squared norm; None,
+        without reading the core, when a basis factor contradicts it."""
+        if any(self.factors.get(q) is _KETS[1 - bit] for q, bit in fixed.items()):
+            return None
+        amplitude = 1.0
+        weight = 1.0
+        for qubit, factor in self.factors.items():
+            bit = fixed.get(qubit)
+            if bit is None:
+                if factor is not _ZERO and factor is not _ONE:  # a ket's weight is 1
+                    weight *= float(np.vdot(factor, factor).real)
+            else:
+                amplitude *= complex(factor[bit])
+        kept = self.view((q, bit) for q, bit in fixed.items() if q not in self.factors)
+        weight *= abs(amplitude) ** 2 * float(np.vdot(kept, kept).real)
+        return kept, amplitude, weight
+
+    def hadamard(self, target: int) -> None:
+        factor = self.factors.get(target)
+        if factor is not None:
+            low, high = factor
+            self.factors[target] = np.array([low + high, low - high]) * _SQRT_HALF
+            return
+        # the target's axis with the axes on either side merged: three axes
+        # instead of a view's one per core qubit keep small-width calls cheap
+        view = self.core.reshape(1 << self.axes.index(target), 2, -1)
+        low = view[:, 0, :]
+        high = view[:, 1, :]
+        diff = low - high
+        low += high
+        high[...] = diff
+        view *= _SQRT_HALF
+
+    def phase(self, target: int, rotation: complex) -> None:
+        factor = self.factors.get(target)
+        if factor is not None:
+            self.factors[target] = np.array([factor[0], factor[1] * rotation])
+            return
+        self.core.reshape(1 << self.axes.index(target), 2, -1)[:, 1, :] *= rotation
+
+    def swap(self, controls: Sequence[tuple[int, int]], target: int) -> None:
+        """MCX with every control and the target merged into the core."""
+        self.merge((*(q for q, _ in controls), target))
+        low = self.view((*controls, (target, 0)))
+        high = self.view((*controls, (target, 1)))
+        swapped = low.copy()
+        low[...] = high
+        high[...] = swapped
+
+    def resolved(self, controls: Iterable[tuple[int, int]]) -> list[tuple[int, int]] | None:
+        """``controls`` less the factored ones that always match, or None if
+        one never matches.  A factored control is decided when its factor
+        has an exact zero entry, as a basis ket has."""
+        kept = []
+        for qubit, bit in controls:
+            factor = self.factors.get(qubit)
+            if factor is None or (factor[0] and factor[1]):
+                kept.append((qubit, bit))
+            elif not factor[bit]:
+                return None
+        return kept
+
+    def splits(self, controls: Iterable[tuple[int, int]], target: int) -> bool:
+        """Whether the target is a basis ket and every control a core
+        qubit or a factor that :meth:`resolved` decides."""
+        factor = self.factors.get(target)
+        if factor is not _ZERO and factor is not _ONE:
+            return False
+        for qubit, _ in controls:
+            factor = self.factors.get(qubit)
+            if factor is not None and factor[0] and factor[1]:
+                return False
+        return True
+
+    def split(self, controls: Iterable[tuple[int, int]], target: int) -> "_Block | None":
+        """MCX on a block that :meth:`splits`; returns the block the matched
+        slice moves to, or None if nothing moved out."""
+        pattern = self.resolved(controls)
+        if pattern is None:
+            return None
+        flipped = _ONE if self.factors[target] is _ZERO else _ZERO
+        if not pattern:
+            self.factors[target] = flipped
+            return None
+        matched = self.view(pattern)
+        fixed = dict(pattern)
+        factors = dict(self.factors)
+        for qubit, bit in pattern:
+            factors[qubit] = _KETS[bit]
+        factors[target] = flipped
+        block = _Block(matched.copy(), tuple(q for q in self.axes if q not in fixed), factors)
+        matched[...] = 0.0
+        return block
 
 
 class StateVector:
-    """Amplitudes over a :class:`RegisterLayout`: a dense core times qubit factors."""
+    """Amplitudes over a :class:`RegisterLayout`: a sum of disjoint blocks,
+    each a dense core times qubit factors."""
 
-    __slots__ = ("layout", "_core", "_axes", "_factors")
+    __slots__ = ("layout", "_blocks", "_keys")
 
     def __init__(
         self,
         layout: RegisterLayout,
-        core: Array,
-        axes: tuple[int, ...],
-        factors: dict[int, Array],
+        blocks: list[_Block],
+        keys: frozenset[int] = frozenset(),
     ):
         self.layout = layout
-        self._core = core
-        self._axes = axes
-        self._factors = factors
+        self._blocks = blocks
+        self._keys = keys
 
     # ------------------------------------------------------------------
     # construction
@@ -106,7 +305,7 @@ class StateVector:
                 f"register needs {layout.total} qubits but numpy cannot hold a dense "
                 f"vector wider than {_WIDEST} qubits"
             )
-        vectors = dict.fromkeys(range(layout.total), _BASIS[0])
+        vectors = dict.fromkeys(range(layout.total), _ZERO)
         for qubit, factor in factors.items():
             if qubit not in vectors:
                 raise ValueError(f"qubit {qubit} outside register of {layout.total} qubits")
@@ -114,7 +313,7 @@ class StateVector:
             if vector.shape != (2,) or not vector.any():
                 raise ValueError(f"factor for qubit {qubit} must be a non-zero 2-vector")
             vectors[qubit] = vector
-        return cls(layout, np.ones((), dtype=np.complex128), (), vectors)
+        return cls(layout, [_Block(np.ones((), dtype=np.complex128), (), vectors)])
 
     @classmethod
     def from_amplitudes(cls, layout: RegisterLayout, values: Iterable[complex]) -> "StateVector":
@@ -126,10 +325,10 @@ class StateVector:
                 f"got shape {amplitudes.shape}"
             )
         total = layout.total
-        return cls(layout, amplitudes.reshape((2,) * total), tuple(range(total)), {})
+        return cls(layout, [_Block(amplitudes.reshape((2,) * total), tuple(range(total)), {})])
 
     def copy(self) -> "StateVector":
-        return StateVector(self.layout, self._core.copy(), self._axes, dict(self._factors))
+        return StateVector(self.layout, [block.copy() for block in self._blocks], self._keys)
 
     # ------------------------------------------------------------------
     # inspection
@@ -139,10 +338,15 @@ class StateVector:
         """The full amplitude vector of length 2**total, read-only.
 
         Factored qubits are multiplied in on each access, at the cost of
-        a full-width allocation.  Once every qubit is merged it is a view
-        of the live core instead: copy it to keep a snapshot.
+        a full-width allocation.  Once every qubit of a single block is
+        merged it is a view of the live core instead: copy it to keep a
+        snapshot.  A state of several blocks sums them into a new vector,
+        never a view.
         """
-        _, tensor = self._merged(self._factors)
+        tensor = None
+        for block in self._blocks:
+            _, full = block.merged(block.factors)
+            tensor = full if tensor is None else tensor + full
         flat = tensor.reshape(-1)
         flat.flags.writeable = False
         return flat
@@ -150,8 +354,8 @@ class StateVector:
     def amplitudes_at(self, indices) -> Array:
         """Amplitudes at int64 basis indices, without the full vector.
 
-        Each is the core entry its core qubits' bits select times the
-        factor entries of the factored qubits' bits.
+        Each is the sum over blocks of the core entry its core qubits'
+        bits select times the factor entries of the factored qubits' bits.
 
         Raises
         ------
@@ -161,24 +365,47 @@ class StateVector:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= 1 << self.layout.total):
             raise ValueError(f"basis index outside [0, 2**{self.layout.total})")
-        position = self.layout.bit_position
-        core_index = np.zeros(indices.shape, dtype=np.int64)
-        for qubit in self._axes:
-            core_index = (core_index << 1) | ((indices >> position(qubit)) & 1)
-        values = self._core.reshape(-1)[core_index]
-        for qubit, factor in self._factors.items():
-            values *= factor[(indices >> position(qubit)) & 1]
+        first, *rest = self._blocks
+        values = first.gather(indices, self.layout.bit_position)
+        for block in rest:
+            values += block.gather(indices, self.layout.bit_position)
         return values
 
     def norm(self) -> float:
-        norm = float(np.linalg.norm(self._core))
-        for factor in self._factors.values():
-            norm *= float(np.linalg.norm(factor))
-        return norm
+        return math.hypot(*(block.norm() for block in self._blocks))
 
     def probability(self, pattern: Iterable[tuple[int, int]]) -> float:
         """Squared norm of the components matching a (qubit, bit) pattern."""
-        return self._branch(self._fixed(pattern))[2]
+        fixed = self._fixed(pattern)
+        branches = (block.branch(fixed) for block in self._blocks)
+        return sum((branch[2] for branch in branches if branch is not None), 0.0)
+
+    def max_difference(self, other: "StateVector") -> float:
+        """Largest |a - b| over all amplitudes a of this state and b of ``other``.
+
+        When both hold the same blocks in the same order, with equal core
+        axes and equal factors, block k of one differs from block k of
+        the other by (core_a - core_b) times their shared factors, and
+        blocks have disjoint support.  The answer is then the largest
+        max |core_a - core_b| times the product of the factors' largest
+        |entry|, and no full vector is built.  Otherwise it compares the
+        two full vectors.
+        """
+        if other.layout != self.layout:
+            raise ValueError("states have different layouts")
+        pairs = list(zip(self._blocks, other._blocks))
+        if len(self._blocks) != len(other._blocks) or not all(
+            a.axes == b.axes and all(_same(b.factors[q], f) for q, f in a.factors.items())
+            for a, b in pairs
+        ):
+            return float(np.max(np.abs(self.amplitudes - other.amplitudes)))
+        worst = 0.0
+        for a, b in pairs:
+            difference = float(np.max(np.abs(a.core - b.core)))
+            for factor in a.factors.values():
+                difference *= float(np.max(np.abs(factor)))
+            worst = max(worst, difference)
+        return worst
 
     # ------------------------------------------------------------------
     # unitary updates (in place)
@@ -193,11 +420,6 @@ class StateVector:
             self._mcx(gate.controls, gate.target)
         else:
             raise TypeError(f"not a gate: {gate!r}")
-        return self
-
-    def apply_all(self, gates: Iterable[Gate]) -> "StateVector":
-        for gate in gates:
-            self.apply(gate)
         return self
 
     def apply_projector_terms(
@@ -252,8 +474,9 @@ class StateVector:
 
         Returns the renormalized projection and the pre-renormalization
         squared norm (the probability a plain measurement would have
-        landed on this branch).  ``self`` is left unchanged, and each
-        fixed qubit becomes a basis factor of the result.
+        landed on this branch).  ``self`` is left unchanged, each fixed
+        qubit becomes a basis factor of the result, and blocks the
+        pattern rules out are dropped.
 
         Raises
         ------
@@ -263,17 +486,25 @@ class StateVector:
         fixed = self._fixed(pattern)
         if not fixed:
             raise ValueError("post-selection pattern is empty")
-        kept, amplitude, probability = self._branch(fixed)
+        branches = [
+            (block, branch)
+            for block in self._blocks
+            if (branch := block.branch(fixed)) is not None
+        ]
+        probability = sum((weight for _, (_, _, weight) in branches), 0.0)
         if probability == 0.0:
             raise ValueError("post-selection pattern has no support in the state")
-        core = np.multiply(
-            kept, amplitude / np.sqrt(probability), out=np.empty(kept.shape, np.complex128)
-        )
-        axes = tuple(q for q in self._axes if q not in fixed)
-        factors = dict(self._factors)
-        for qubit, bit in fixed.items():
-            factors[qubit] = _BASIS[bit]
-        return StateVector(self.layout, core, axes, factors), probability
+        blocks = []
+        for block, (kept, amplitude, _) in branches:
+            core = np.multiply(
+                kept, amplitude / np.sqrt(probability), out=np.empty(kept.shape, np.complex128)
+            )
+            factors = dict(block.factors)
+            for qubit, bit in fixed.items():
+                factors[qubit] = _KETS[bit]
+            blocks.append(_Block(core, tuple(q for q in block.axes if q not in fixed), factors))
+        keys = self._keys if len(blocks) > 1 else frozenset()
+        return StateVector(self.layout, blocks, keys), probability
 
     def extract(self, qubits: Sequence[int], tol: float = 1e-10) -> Array:
         """Read the state of a subsystem that must be unentangled.
@@ -294,7 +525,8 @@ class StateVector:
 
         Notes
         -----
-        With M the picked-by-rest matrix of the core, the residual is
+        A state of several blocks is first summed into one.  With M the
+        picked-by-rest matrix of the core, the residual is
         1 - lambda_max / trace of the Gram matrix G = M M^H.  For any unit
         v, lambda_max >= |v^H M|**2, so with v the heaviest column of M,
         normalised, ``bound = 1 - |v^H M|**2 / trace`` can only sit at or
@@ -323,7 +555,7 @@ class StateVector:
 
         # factored qubits outside the pick are exact product factors and
         # cannot entangle with it, so only the core takes part
-        axes, tensor = self._merged(picked)
+        axes, tensor = self._joined().merged(picked)
         rest = [q for q in axes if q not in picked]
         order = [axes.index(q) for q in (*picked, *rest)]
         matrix = np.transpose(tensor, order).reshape(1 << len(picked), -1)
@@ -379,99 +611,64 @@ class StateVector:
             fixed[qubit] = bit
         return fixed
 
-    def _merged(self, qubits: Iterable[int]) -> tuple[tuple[int, ...], Array]:
-        """Core axes and tensor with the factored ``qubits`` multiplied in.
+    def _joined(self) -> _Block:
+        """The blocks summed into one, over the union of their core axes
+        and every qubit whose factor differs between them."""
+        first, *rest = self._blocks
+        if not rest:
+            return first
+        shared = {
+            q: f for q, f in first.factors.items()
+            if all(_same(block.factors.get(q), f) for block in rest)
+        }
+        core = None
+        for block in self._blocks:
+            axes, tensor = block.merged(block.factors.keys() - shared.keys())
+            core = tensor if core is None else core + tensor
+        return _Block(core, axes, shared)
 
-        ``self`` is left unchanged; with nothing to merge the core itself
-        is returned.  The factors' joint tensor is built first, so the
-        result is the only allocation of its size.
-        """
-        new = sorted({q for q in qubits if q in self._factors})
-        if not new:
-            return self._axes, self._core
-        joint = self._factors[new[-1]]
-        if not self._axes:  # a scalar core rides on the last factor
-            joint = joint * self._core
-        # growing from the last qubit keeps the large operand innermost
-        for qubit in reversed(new[:-1]):
-            joint = np.multiply.outer(self._factors[qubit], joint)
-        if not self._axes:
-            return tuple(new), joint
-        axes = tuple(sorted((*self._axes, *new)))
-        in_core = set(self._axes)
-        core = self._core.reshape([2 if q in in_core else 1 for q in axes])
-        joint = joint.reshape([1 if q in in_core else 2 for q in axes])
-        return axes, np.multiply(core, joint, out=np.empty((2,) * len(axes), np.complex128))
-
-    def _merge(self, qubits: Sequence[int]) -> None:
-        """Move the factored ``qubits`` into the core."""
-        if any(q in self._factors for q in qubits):
-            self._axes, self._core = self._merged(qubits)
-            for qubit in qubits:
-                self._factors.pop(qubit, None)
-
-    def _view(self, pattern: Iterable[tuple[int, int]]) -> Array:
-        """Writable view of the core matching a (qubit, bit) pattern on core qubits.
-
-        Its axes are the unfixed core qubits in ascending order; with
-        every core qubit fixed it is a 0-d view, not a copied scalar.
-        """
-        index: list[int | slice] = [slice(None)] * len(self._axes)
-        for qubit, bit in pattern:
-            index[self._axes.index(qubit)] = bit
-        return self._core[(*index, ...)]
-
-    def _branch(self, fixed: dict[int, int]) -> tuple[Array, complex, float]:
-        """The core slice of a pattern's branch, the amplitude its fixed
-        factored qubits contribute, and the branch's squared norm."""
-        amplitude = 1.0
-        weight = 1.0
-        for qubit, factor in self._factors.items():
-            bit = fixed.get(qubit)
-            if bit is None:
-                weight *= float(np.vdot(factor, factor).real)
-            else:
-                amplitude *= complex(factor[bit])
-        kept = self._view((q, bit) for q, bit in fixed.items() if q not in self._factors)
-        weight *= abs(amplitude) ** 2 * float(np.vdot(kept, kept).real)
-        return kept, amplitude, weight
+    def _join(self) -> None:
+        self._blocks = [self._joined()]
+        self._keys = frozenset()
 
     def _hadamard(self, target: int) -> None:
         self._check_qubit(target)
-        factor = self._factors.get(target)
-        if factor is not None:
-            low, high = factor
-            self._factors[target] = np.array([low + high, low - high]) * _SQRT_HALF
-            return
-        # the target's axis with the axes on either side merged: three axes
-        # instead of a _view's one per core qubit keep small-width calls cheap
-        view = self._core.reshape(1 << self._axes.index(target), 2, -1)
-        low = view[:, 0, :]
-        high = view[:, 1, :]
-        diff = low - high
-        low += high
-        high[...] = diff
-        view *= _SQRT_HALF
+        if target in self._keys:
+            self._join()
+        for block in self._blocks:
+            block.hadamard(target)
 
     def _phase(self, target: int, k: int) -> None:
         self._check_qubit(target)
+        if target in self._keys:
+            self._join()
         rotation = np.exp(2j * np.pi / (1 << k))
-        factor = self._factors.get(target)
-        if factor is not None:
-            self._factors[target] = np.array([factor[0], factor[1] * rotation])
-            return
-        self._core.reshape(1 << self._axes.index(target), 2, -1)[:, 1, :] *= rotation
+        for block in self._blocks:
+            block.phase(target, rotation)
 
     def _mcx(self, controls: tuple[tuple[int, int], ...], target: int) -> None:
         qubits = (*(q for q, _ in controls), target)
         for qubit in qubits:
             self._check_qubit(qubit)
-        self._merge(qubits)
-        low = self._view((*controls, (target, 0)))
-        high = self._view((*controls, (target, 1)))
-        swapped = low.copy()
-        low[...] = high
-        high[...] = swapped
+        if target in self._keys:
+            self._join()
+        blocks = self._blocks
+        if len(blocks) == 1:
+            factor = blocks[0].factors.get(target)
+            if factor is not _ZERO and factor is not _ONE:
+                blocks[0].swap(controls, target)
+                return
+        if not all(block.splits(controls, target) for block in blocks):
+            for block in blocks:
+                pattern = block.resolved(controls)
+                if pattern is not None:
+                    block.swap(pattern, target)
+            return
+        for block in tuple(blocks):
+            new = block.split(controls, target)
+            if new is not None:
+                blocks.append(new)
+                self._keys |= {target}
 
 
 def align_phase(vector: Array, reference: Array) -> Array:

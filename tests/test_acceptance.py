@@ -362,9 +362,9 @@ def test_criterion_8_scratch_hygiene():
     for plan in (WORKED, *_plan_suite()):
         layout = RegisterLayout(plan.n, plan.m)
         state = StateVector.ground(layout)
-        state.apply_all(build_superposition(layout))
+        util.apply_all(state, build_superposition(layout))
         for triad in amplitude_triads(plan, layout):
-            state.apply_all(triad)
+            util.apply_all(state, triad)
             worst = max(worst, abs(state.probability(((layout.scratch, 0),)) - 1.0))
             boundaries += 1
     ok = worst <= 1e-12

@@ -6,7 +6,15 @@ import pytest
 
 import util
 import bitprep.cli as cli_mod
-from bitprep import RegisterLayout, SimRun, StateVector, parse_circuit, simulate
+from bitprep import (
+    STAGE_NAMES,
+    PhaseK,
+    RegisterLayout,
+    SimRun,
+    StateVector,
+    parse_circuit,
+    simulate,
+)
 from bitprep.cli import main, parse_target_file
 
 ROOT13 = float(np.sqrt(13.0))
@@ -318,3 +326,24 @@ def test_verification_failure_is_exit_1(tmp_path, capsys, monkeypatch):
     assert report["verification"]["passed"] is False
     assert report["verification"]["checks"]["output"]["pass"] is False
     assert report["fidelity"]["plan_vs_output"] < 0.99
+
+
+@pytest.mark.parametrize("index, stage", list(enumerate((*STAGE_NAMES, "measure"))))
+def test_stage_check_catches_a_wrong_stage(tmp_path, capsys, monkeypatch, index, stage):
+    real = cli_mod.simulate
+
+    def tampered(circuit, **kwargs):
+        run = real(circuit, **kwargs)
+        # flips the sign wherever system qubit 0 reads 1, block by block
+        run.stages[index].apply(PhaseK(0, 1))
+        return run
+
+    monkeypatch.setattr(cli_mod, "simulate", tampered)
+    target = write(tmp_path, "t.target", WORKED_TARGET)
+    report_path = tmp_path / "tampered.json"
+    code = main([str(target), "--stage-check", "--report", str(report_path)])
+    assert code == 1
+    assert f"verification failed at {stage}" in capsys.readouterr().err
+    check = json.loads(report_path.read_text())["verification"]["checks"][stage]
+    assert check["pass"] is False
+    assert check["path_deviation"] > 1e-12

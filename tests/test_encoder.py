@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +42,7 @@ LAYOUT = RegisterLayout(WORKED.n, WORKED.m)
 
 
 def test_superpose_gates():
-    gates = compile_circuit(WORKED).stage_gates("superpose")
+    gates = util.stage_gates(compile_circuit(WORKED), "superpose")
     assert gates == (
         Hadamard(0),
         Hadamard(1),
@@ -71,7 +73,7 @@ def test_amplitude_triads_worked():
 
 
 def test_phase_stage_worked():
-    gates = compile_circuit(WORKED).stage_gates("phase")
+    gates = util.stage_gates(compile_circuit(WORKED), "phase")
     assert gates == (
         MCX(((0, 0), (3, 1), (4, 1)), 5),
         MCX(((0, 1), (3, 1), (4, 0)), 5),
@@ -80,14 +82,14 @@ def test_phase_stage_worked():
 
 def test_collapse_and_label_stages():
     circuit = compile_circuit(WORKED)
-    assert circuit.stage_gates("collapse") == (
+    assert util.stage_gates(circuit, "collapse") == (
         Hadamard(1),
         Hadamard(2),
         Hadamard(3),
         Hadamard(4),
     )
     controls = ((1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (6, 1))
-    assert circuit.stage_gates("label") == (MCX(controls, 7), MCX(controls, 8))
+    assert util.stage_gates(circuit, "label") == (MCX(controls, 7), MCX(controls, 8))
     assert circuit.terminal == Measurement(7, 8)
 
 
@@ -102,10 +104,10 @@ def test_stage_segments_partition_the_gate_list():
     circuit = compile_circuit(WORKED)
     reassembled = []
     for name in ("superpose", "amplitude", "phase", "collapse", "label"):
-        reassembled.extend(circuit.stage_gates(name))
+        reassembled.extend(util.stage_gates(circuit, name))
     assert tuple(reassembled) == circuit.gates
     with pytest.raises(KeyError):
-        circuit.stage_gates("teleport")
+        util.stage_gates(circuit, "teleport")
 
 
 def test_circuit_validation():
@@ -128,7 +130,7 @@ def test_circuit_validation():
 def test_superpose_state_is_uniform_with_fixed_phases():
     layout = RegisterLayout(1, 1)
     state = StateVector.ground(layout)
-    state.apply_all(build_superposition(layout))
+    util.apply_all(state, build_superposition(layout))
     # qubits 0..2 uniform, markers still |0>; phase qubit contributes -1
     for idx in range(1 << layout.total):
         amp = state.amplitudes[idx]
@@ -167,9 +169,9 @@ def test_scratch_clean_at_every_triad_boundary():
     for plan in (WORKED, util.random_plan(rng, 2, 3)):
         layout = RegisterLayout(plan.n, plan.m)
         state = StateVector.ground(layout)
-        state.apply_all(build_superposition(layout))
+        util.apply_all(state, build_superposition(layout))
         for triad in amplitude_triads(plan, layout):
-            state.apply_all(triad)
+            util.apply_all(state, triad)
             assert abs(state.probability(((layout.scratch, 0),)) - 1.0) < 1e-12
 
 
@@ -220,6 +222,42 @@ def test_basis_state_target_is_exact():
     system = run.final.extract(RegisterLayout(1, 1).system)
     assert abs(abs(system[1]) - 1.0) < 1e-12
     assert abs(system[0]) < 1e-12
+
+
+WIDE_PLANS = pytest.mark.parametrize(
+    "plan",
+    [
+        util.random_plan(np.random.default_rng(27), 2, 7),
+        # every level is 64: the select gates of bits 0-5 never match, so
+        # those amp qubits stay factors, each numerically |0> after collapse
+        decompose(TargetState.from_polar([0.5] * 4, [0.0, 0.25, 0.5, 0.75]), 7),
+    ],
+    ids=["random", "one-level"],
+)
+
+
+@WIDE_PLANS
+def test_label_stage_leaves_the_core_alone(plan):
+    stages = simulate(compile_circuit(plan), keep_stages=True).stages
+    collapsed, labeled = stages[3]._blocks, stages[4]._blocks
+    assert labeled[0].axes == collapsed[0].axes
+    # the other blocks hold only the system register in their cores
+    assert all(block.axes == tuple(range(plan.n)) for block in labeled[1:])
+
+
+@WIDE_PLANS
+def test_simulate_peaks_under_two_cores(plan):
+    # the label stage splits off the kept branch instead of widening the
+    # core, so the widest buffer is the n + 2m + 2 qubit core before it
+    circuit = compile_circuit(plan)
+    core_bytes = 16 << (plan.n + 2 * plan.m + 2)
+    tracemalloc.start()
+    try:
+        simulate(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * core_bytes
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -318,6 +356,11 @@ def test_parse_tolerates_comments_and_blanks():
         (lambda t: t.replace("MCX +1 -2 +5 6", "MCX 1 -2 +5 6"), "start with"),
         (lambda t: t.replace("H 0", "H 0 0"), "one qubit"),
         (lambda t: "", "empty"),
+        (lambda t: t.replace("H 0", "H 9"), "outside layout"),
+        (lambda t: t.replace("stage collapse\n", ""), "stages must be"),
+        (lambda t: t.replace("CMEAS 7 8", "CMEAS 7 80"), "outside layout"),
+        (lambda t: t.replace("n 1\n", "n 0\n"), "n >= 1"),
+        (lambda t: t.replace("m 2\n", "m 0\n"), "m >= 1"),
     ],
 )
 def test_parse_rejects_mangled_input(mangle, message):

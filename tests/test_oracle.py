@@ -178,7 +178,7 @@ def test_every_stage_matches_prediction_worked():
     for stage, state in enumerate(run.stages, start=1):
         pred = predict_stage(WORKED, stage)
         assert pred.max_deviation(state) < 1e-12
-        assert abs(pred.measured_norm_sq(state) - pred.useful_norm_sq()) < 1e-12
+        assert abs(util.measured_norm_sq(pred, state) - pred.useful_norm_sq()) < 1e-12
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -222,7 +222,7 @@ def test_norm_accounting_random():
         pred = predict_stage(plan, stage)
         # a duplicate index would count its weight twice on both sides
         assert len(np.unique(pred.components)) == len(pred.components)
-        assert abs(pred.measured_norm_sq(state) - pred.useful_norm_sq()) < 1e-12
+        assert abs(util.measured_norm_sq(pred, state) - pred.useful_norm_sq()) < 1e-12
 
 
 def test_prediction_layout_mismatch_rejected():

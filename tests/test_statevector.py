@@ -229,8 +229,9 @@ def test_projector_single_term_entangles():
     layout = SMALL
     state = StateVector.ground(layout).apply(Hadamard(0))
     state.apply_projector_terms([(((0, 1),), (layout.scratch,))])
-    zero = layout.index_of([(q, 0) for q in range(layout.total)])
-    one = layout.index_of(
+    zero = util.index_of(layout, [(q, 0) for q in range(layout.total)])
+    one = util.index_of(
+        layout,
         [(0, 1), (layout.scratch, 1)] + [(q, 0) for q in range(layout.total) if q not in (0, layout.scratch)]
     )
     assert np.isclose(state.amplitudes[zero], 2 ** -0.5)
@@ -266,7 +267,8 @@ def test_projector_multi_target_flips_both():
     layout = SMALL
     state = StateVector.ground(layout)
     state.apply_projector_terms([(((0, 0),), (layout.flag, layout.meter))])
-    expected = layout.index_of(
+    expected = util.index_of(
+        layout,
         [(layout.flag, 1), (layout.meter, 1)]
         + [(q, 0) for q in range(layout.total) if q not in (layout.flag, layout.meter)]
     )
@@ -332,8 +334,9 @@ def bell_state():
     # (|00> + |11>)/sqrt(2) on qubits 0 and 1 of the small layout
     layout = SMALL
     vec = np.zeros(1 << layout.total, dtype=complex)
-    vec[layout.index_of([(q, 0) for q in range(layout.total)])] = 2 ** -0.5
-    vec[layout.index_of(
+    vec[util.index_of(layout, [(q, 0) for q in range(layout.total)])] = 2 ** -0.5
+    vec[util.index_of(
+        layout,
         [(0, 1), (1, 1)] + [(q, 0) for q in range(layout.total) if q > 1]
     )] = 2 ** -0.5
     return StateVector.from_amplitudes(layout, vec)
@@ -343,7 +346,8 @@ def test_postselect_bell_half_probability():
     state = bell_state()
     kept, probability = state.postselect([(1, 1)])
     assert np.isclose(probability, 0.5)
-    survivor = SMALL.index_of(
+    survivor = util.index_of(
+        SMALL,
         [(0, 1), (1, 1)] + [(q, 0) for q in range(SMALL.total) if q > 1]
     )
     assert np.isclose(kept.amplitudes[survivor], 1.0)
@@ -691,6 +695,197 @@ def test_product_matches_kron():
     for bad in ({SMALL.total: (1, 0)}, {0: (1, 0, 0)}, {0: (0, 0)}):
         with pytest.raises(ValueError):
             StateVector.product(SMALL, bad)
+
+
+# ----------------------------------------------------------------------
+# keyed blocks
+
+
+def reference_apply(total, gate, vec):
+    """A gate on a full vector by index arithmetic, built independently of
+    the simulator: what ``dense_unitary(total, gate) @ vec`` gives, without
+    the matrix."""
+    indices = np.arange(1 << total)
+    mask = 1 << (total - 1 - gate.target)
+    hit = (indices & mask) != 0
+    if isinstance(gate, Hadamard):
+        partner = vec[indices ^ mask]
+        return np.where(hit, partner - vec, vec + partner) * 2.0 ** -0.5
+    if isinstance(gate, PhaseK):
+        return np.where(hit, vec * np.exp(2j * np.pi / (1 << gate.k)), vec)
+    matched = np.ones(1 << total, dtype=bool)
+    for qubit, bit in gate.controls:
+        matched &= ((indices >> (total - 1 - qubit)) & 1) == bit
+    return vec[np.where(matched, indices ^ mask, indices)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_reference_apply_matches_dense_unitary(seed):
+    rng = np.random.default_rng(seed)
+    vec = random_state(rng, SMALL).amplitudes
+    gate = random_gate(rng, SMALL.total)
+    expected = dense_unitary(SMALL.total, gate) @ vec
+    assert np.max(np.abs(reference_apply(SMALL.total, gate, vec) - expected)) < 1e-15
+
+
+def factored_everywhere(state, qubits):
+    """The qubits that are a factor, not a core axis, in every block."""
+    return [q for q in qubits if all(q not in block.axes for block in state._blocks)]
+
+
+def block_step(rng, state, total):
+    """One operation aimed at the block machinery: splits, gates on and
+    controlled by key qubits, other gates, post-selection, probability
+    and copies."""
+    keys = sorted(state._keys)
+    kind = rng.choice(
+        ["split", "split", "on key", "key control", "gate", "postselect", "probability", "copy"]
+    )
+    if kind == "split":
+        core = sorted(state._blocks[0].axes)
+        targets = factored_everywhere(state, range(total))
+        if core and targets:
+            controls = rng.choice(core, size=min(len(core), int(rng.integers(1, 3))), replace=False)
+            pattern = tuple((int(q), int(rng.integers(2))) for q in controls)
+            return MCX(pattern, int(rng.choice(targets)))
+        kind = "gate"
+    if kind == "on key" and keys:
+        target = int(rng.choice(keys))
+        control = int(rng.choice([q for q in range(total) if q != target]))
+        gates = (Hadamard(target), PhaseK(target, int(rng.integers(1, 7))))
+        gates += (MCX(((control, 1),), target),)
+        return gates[int(rng.integers(3))]
+    if kind == "key control" and keys:
+        control = int(rng.choice(keys))
+        target = int(rng.choice([q for q in range(total) if q != control]))
+        return MCX(((control, int(rng.integers(2))),), target)
+    if kind in ("postselect", "probability"):
+        qubit = int(rng.choice(keys)) if keys and rng.integers(2) else int(rng.integers(total))
+        return str(kind), qubit, int(rng.integers(2))
+    if kind == "copy":
+        return "copy"
+    return random_gate(rng, total)
+
+
+BLOCK_STEPS = []  # per step of every example: whether it ended with several blocks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    layout=st.sampled_from([RegisterLayout(1, 1), RegisterLayout(2, 1)]),
+)
+def check_blocks_against_dense_reference(seed, layout):
+    rng = np.random.default_rng(seed)
+    total = layout.total
+    indices = np.arange(1 << total)
+    ones = [basis_mask(layout, qubit, 1) for qubit in range(total)]
+    # qubits 0-2 merged into the core, 3 a factor in |+>, the rest |0> factors
+    state = StateVector.ground(layout)
+    for gate in (Hadamard(0), Hadamard(1), MCX(((0, 1),), 2), MCX(((1, 1),), 0), Hadamard(3)):
+        state.apply(gate)
+    reference = state.amplitudes.copy()
+    snapshots = []  # (earlier state, its amplitudes when left behind)
+    for _ in range(int(rng.integers(4, 15))):
+        op = block_step(rng, state, total)
+        before = state.copy()
+        if op == "copy":
+            snapshots.append((state, state.amplitudes.copy()))
+            state = state.copy()
+        elif isinstance(op, tuple):
+            kind, qubit, bit = op
+            mask = basis_mask(layout, qubit, bit)
+            weight = float(np.sum(np.abs(reference[mask]) ** 2))
+            assert abs(state.probability([(qubit, bit)]) - weight) < 1e-12
+            # renormalizing a faint branch magnifies rounding in any kernel
+            if kind == "probability" or weight < 1e-2:
+                continue
+            source, kept = state, state.amplitudes.copy()
+            state, probability = source.postselect([(qubit, bit)])
+            assert abs(probability - weight) < 1e-12
+            snapshots.append((source, kept))
+            reference = np.where(mask, reference, 0.0) / np.sqrt(weight)
+        else:
+            previous = reference
+            state.apply(op)
+            reference = reference_apply(total, op, reference)
+            expected = float(np.max(np.abs(reference - previous)))
+            assert abs(state.max_difference(before) - expected) < 1e-12
+        BLOCK_STEPS.append(len(state._blocks) > 1)
+        assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+        assert np.max(np.abs(state.amplitudes_at(indices) - reference)) < 1e-12
+        assert abs(state.norm() - np.linalg.norm(reference)) < 1e-12
+        # block weights add only while blocks keep disjoint support
+        for key in (None, *sorted(state._keys)):
+            for qubit in range(total):
+                pattern = {qubit: 1} if key is None else {key: 1, qubit: 1}
+                mask = np.logical_and.reduce([ones[q] for q in pattern])
+                weight = float(np.sum(np.abs(reference[mask]) ** 2))
+                assert abs(state.probability(pattern.items()) - weight) < 1e-12
+        dense = StateVector.from_amplitudes(layout, reference)
+        assert state.max_difference(dense) < 1e-12
+    for earlier, amplitudes in snapshots:
+        assert np.array_equal(earlier.amplitudes, amplitudes)
+
+
+def test_blocks_match_dense_reference():
+    BLOCK_STEPS.clear()
+    check_blocks_against_dense_reference()
+    # the steps must really exercise several blocks, not only the single-block path
+    assert sum(BLOCK_STEPS) >= len(BLOCK_STEPS) // 5
+
+
+def test_gate_on_a_key_qubit_merges_blocks_back():
+    # after the split, qubit 0 is core in one block and |1> in the other;
+    # the CNOT and Hadamard then give both blocks weight on the same basis
+    # states away from qubit 5, which alone keeps them apart
+    state = StateVector.ground(SMALL)
+    for gate in (Hadamard(0), Hadamard(1), MCX(((0, 1),), 2), MCX(((1, 1),), 0)):
+        state.apply(gate)
+    state.apply(MCX(((0, 1),), 5))
+    assert len(state._blocks) == 2
+    state.apply(MCX(((0, 1),), 2)).apply(Hadamard(0))
+    dense = StateVector.from_amplitudes(SMALL, state.amplitudes)
+    for gate in (Hadamard(5), PhaseK(5, 2), MCX(((1, 1),), 5)):
+        blocked = state.copy().apply(gate)
+        assert len(blocked._blocks) == 1
+        reference = dense.copy().apply(gate)
+        assert blocked.max_difference(reference) < 1e-15
+        for pattern in ([(5, 1), (0, 1)], [(5, 0), (2, 1)]):
+            assert abs(blocked.probability(pattern) - reference.probability(pattern)) < 1e-15
+
+
+def split_pair():
+    """Two states with the same two blocks: qubits 0, 1 and 6 in the core,
+    an MCX onto qubit 5 splitting off the 0=1 slice, and then a phase and a
+    Hadamard on core qubits of the second copy.  Qubit 2's factor is left
+    unnormalized, so the comparison has to keep the factors' scale."""
+    half = 2 ** -0.5
+    factors = {0: (half, half), 1: (0.6, 0.8), 2: (1.5, 0.5j), 4: (0.6, 0.8j), 6: (half, -half)}
+    a = StateVector.product(SMALL, factors)
+    a.apply(MCX(((0, 1),), 1)).apply(MCX(((1, 1),), 6)).apply(MCX(((0, 1),), 5))
+    b = a.copy().apply(PhaseK(6, 2)).apply(Hadamard(1))
+    return a, b
+
+
+def test_max_difference_matches_the_full_vectors(monkeypatch):
+    a, b = split_pair()
+    assert len(a._blocks) == len(b._blocks) == 2
+    # same blocks: answered from the cores and factors alone
+    expected = float(np.max(np.abs(a.amplitudes - b.amplitudes)))
+    with monkeypatch.context() as patch:
+        patch.setattr(StateVector, "amplitudes", property(lambda self: pytest.fail("full vector")))
+        same = a.max_difference(b)
+    assert abs(same - expected) <= 1e-15
+    # different blocks: a merged-back copy, and a copy with a new factor
+    for other in (b.copy().apply(PhaseK(5, 1)), b.copy().apply(Hadamard(3))):
+        expected = float(np.max(np.abs(a.amplitudes - other.amplitudes)))
+        assert abs(a.max_difference(other) - expected) <= 1e-15
+        assert abs(other.max_difference(a) - expected) <= 1e-15
+    assert a.max_difference(a.copy()) == 0.0
+    with pytest.raises(ValueError):
+        a.max_difference(StateVector.ground(RegisterLayout(2, 1)))
 
 
 # ----------------------------------------------------------------------

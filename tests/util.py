@@ -34,12 +34,62 @@ def phase_words(m: int):
     return list(itertools.product((0, 1), repeat=m))
 
 
+def index_of(layout, assignment) -> int:
+    """Basis index of a full qubit assignment (every qubit exactly once)."""
+    seen: dict[int, int] = {}
+    for qubit, bit in assignment:
+        if bit not in (0, 1):
+            raise ValueError(f"bit for qubit {qubit} must be 0 or 1, got {bit}")
+        if qubit in seen:
+            raise ValueError(f"qubit {qubit} assigned twice")
+        layout.bit_position(qubit)
+        seen[qubit] = bit
+    if len(seen) != layout.total:
+        raise ValueError(
+            f"assignment covers {len(seen)} of {layout.total} qubits; need all"
+        )
+    index = 0
+    for qubit, bit in seen.items():
+        index |= bit << layout.bit_position(qubit)
+    return index
+
+
+def amp_pattern(layout, value: int):
+    """Control pattern pinning the amp register to integer ``value``."""
+    if not 0 <= value < 1 << layout.m:
+        raise ValueError(f"work value {value} outside [0, 2**{layout.m})")
+    return tuple((q, (value >> i) & 1) for i, q in enumerate(layout.amp))
+
+
+def stage_gates(circuit, name: str):
+    """The gates of the circuit's stage called ``name``."""
+    for stage, start, stop in circuit.stages:
+        if stage == name:
+            return circuit.gates[start:stop]
+    raise KeyError(f"no stage named {name!r}")
+
+
+def apply_all(state, gates):
+    for gate in gates:
+        state.apply(gate)
+    return state
+
+
+def measured_norm_sq(pred, state) -> float:
+    """Squared norm ``state`` carries on a prediction's components."""
+    if state.layout != pred.layout:
+        raise ValueError("state layout does not match prediction layout")
+    gathered = state.amplitudes_at(pred.components)
+    return float(np.vdot(gathered, gathered).real)
+
+
 def basis_index(layout, label, work, word, marks, outcome) -> int:
     """Scalar basis index of one (label, work value, phase word,
     (scratch, tag), (flag, meter)) assignment, through ``index_of``."""
-    return layout.index_of(
+    return index_of(
+        layout,
         layout.system_pattern(label)
-        + layout.amp_pattern(work)
+        + amp_pattern(layout, work)
         + layout.phase_pattern(word)
         + (
             (layout.scratch, marks[0]),
