@@ -20,6 +20,14 @@ multiplies all of them into the core, in one allocation, and then runs on
 the core in place.  The basis factors |0> and |1> are two shared
 read-only kets, recognised by identity.
 
+A Hadamard on a qubit that is core in some block is deferred: its target
+is toggled in a pending set, since Hadamards on distinct qubits commute
+and a repeated one cancels.  The blocks are reached only through one
+property, which first applies the pending layer to every block as a
+radix-16 fast Walsh-Hadamard transform, in place (``_Block.hadamards``).
+That property is the single flush point: every reader and every other
+gate goes through it, so none sees a stale state.
+
 Blocks come from one rule.  An MCX whose target is a basis factor in
 every block, and whose controls are each a core qubit or a factor with
 an exact zero entry (a basis factor, say), splits instead of merging its
@@ -43,8 +51,8 @@ into a basis factor, so it never fills a full-width vector.
 ``amplitudes`` materialises the full vector only when asked,
 ``amplitudes_at`` reads chosen amplitudes without it, and
 ``max_difference`` compares two states block against block.  A single
-StateVector must only ever be written from one thread, but distinct
-vectors are independent.
+StateVector must only ever be used from one thread, since reads can
+apply the pending layer, but distinct vectors are independent.
 """
 
 from __future__ import annotations
@@ -67,6 +75,12 @@ _WIDEST = np.iinfo(np.intp).max.bit_length() - 5
 
 _SQRT_HALF = 2.0 ** -0.5
 
+# unscaled +-1 Sylvester-Hadamard matrices of orders 1, 2, 4, 8 and 16: the
+# Hadamard layer on a run of k adjacent core axes is _SYLVESTER[k] / 2**(k/2)
+_SYLVESTER = [np.ones((1, 1))]
+for _ in range(4):
+    _SYLVESTER.append(np.kron(_SYLVESTER[-1], [[1.0, 1.0], [1.0, -1.0]]))
+
 # largest residual bound ``extract`` answers with one power step: the step
 # leaves at most about bound**3 infidelity against the top eigenvector, so
 # up to 1e-5 its answer is the eigendecomposition's to within 1e-15
@@ -77,6 +91,18 @@ _POWER_STEP_BOUND = 1e-5
 _BASIS = np.eye(2, dtype=np.complex128)
 _BASIS.flags.writeable = False
 _ZERO, _ONE = _KETS = tuple(_BASIS)
+
+
+def _transform(view: Array, matrix: Array) -> None:
+    """``view[a, :, b] = matrix @ view[a, :, b]`` for every a and b, in
+    place, in at most 8 slabs along the longer of the outer axes."""
+    outer = 0 if view.shape[0] >= view.shape[2] else 2
+    step = -(-view.shape[outer] // 8)
+    scratch = np.empty(view[:step].shape if outer == 0 else view[..., :step].shape)
+    for start in range(0, view.shape[outer], step):
+        slab = view[start:start + step] if outer == 0 else view[..., start:start + step]
+        np.matmul(matrix, slab, out=scratch)
+        slab[...] = scratch
 
 
 def _same(factor: Array | None, other: Array) -> bool:
@@ -174,21 +200,37 @@ class _Block:
         weight *= abs(amplitude) ** 2 * float(np.vdot(kept, kept).real)
         return kept, amplitude, weight
 
-    def hadamard(self, target: int) -> None:
-        factor = self.factors.get(target)
-        if factor is not None:
-            low, high = factor
-            self.factors[target] = np.array([low + high, low - high]) * _SQRT_HALF
+    def hadamards(self, targets: Sequence[int]) -> None:
+        """Hadamards on the distinct, ascending ``targets``.
+
+        Factored targets update their 2-vectors.  The core's targets are
+        grouped into runs of at most 4 adjacent axes, and each run is one
+        fast Walsh-Hadamard pass: its +-1 Sylvester matrix applied to the
+        float64 view of the core (H is real, so real and imaginary parts
+        transform alike), with the 2**(-k/2) scale folded into the last
+        pass.  A pass goes slab by slab over the larger of the dimensions
+        before and after the run, in at most 8 slabs, so its scratch is
+        about an eighth of the core.
+        """
+        runs: list[list[int]] = []  # [first axis, length]
+        for target in targets:
+            factor = self.factors.get(target)
+            if factor is not None:
+                low, high = factor
+                self.factors[target] = np.array([low + high, low - high]) * _SQRT_HALF
+                continue
+            axis = self.axes.index(target)
+            if runs and runs[-1][0] + runs[-1][1] == axis and runs[-1][1] < 4:
+                runs[-1][1] += 1
+            else:
+                runs.append([axis, 1])
+        if not runs:
             return
-        # the target's axis with the axes on either side merged: three axes
-        # instead of a view's one per core qubit keep small-width calls cheap
-        view = self.core.reshape(1 << self.axes.index(target), 2, -1)
-        low = view[:, 0, :]
-        high = view[:, 1, :]
-        diff = low - high
-        low += high
-        high[...] = diff
-        view *= _SQRT_HALF
+        scale = 2.0 ** (-0.5 * sum(length for _, length in runs))
+        real = self.core.reshape(-1).view(np.float64)
+        for i, (first, length) in enumerate(runs):
+            matrix = _SYLVESTER[length] * scale if i == len(runs) - 1 else _SYLVESTER[length]
+            _transform(real.reshape(1 << first, 1 << length, -1), matrix)
 
     def phase(self, target: int, rotation: complex) -> None:
         factor = self.factors.get(target)
@@ -256,7 +298,7 @@ class StateVector:
     """Amplitudes over a :class:`RegisterLayout`: a sum of disjoint blocks,
     each a dense core times qubit factors."""
 
-    __slots__ = ("layout", "_blocks", "_keys")
+    __slots__ = ("layout", "_stored", "_keys", "_pending")
 
     def __init__(
         self,
@@ -265,8 +307,25 @@ class StateVector:
         keys: frozenset[int] = frozenset(),
     ):
         self.layout = layout
-        self._blocks = blocks
+        self._stored = blocks
         self._keys = keys
+        # core Hadamard targets not yet applied: see ``_blocks``
+        self._pending: set[int] = set()
+
+    @property
+    def _blocks(self) -> list[_Block]:
+        """The blocks, after applying the pending Hadamard layer.
+
+        Every read and write of the blocks goes through here, so none
+        sees a stale state; only the constructor, :meth:`_join`,
+        :meth:`_hadamard` and this property touch ``_stored``.
+        """
+        if self._pending:
+            targets = sorted(self._pending)
+            self._pending = set()
+            for block in self._stored:
+                block.hadamards(targets)
+        return self._stored
 
     # ------------------------------------------------------------------
     # construction
@@ -340,8 +399,9 @@ class StateVector:
         Factored qubits are multiplied in on each access, at the cost of
         a full-width allocation.  Once every qubit of a single block is
         merged it is a view of the live core instead: copy it to keep a
-        snapshot.  A state of several blocks sums them into a new vector,
-        never a view.
+        snapshot.  Hadamards applied after such a view was taken show in
+        it only after the next read through the state.  A state of
+        several blocks sums them into a new vector, never a view.
         """
         tensor = None
         for block in self._blocks:
@@ -411,7 +471,11 @@ class StateVector:
     # unitary updates (in place)
 
     def apply(self, gate: Gate) -> "StateVector":
-        """Apply one gate in place and return self."""
+        """Apply one gate in place and return self.
+
+        A Hadamard on a core qubit takes effect at the next read of the
+        state, together with any others pending.
+        """
         if isinstance(gate, Hadamard):
             self._hadamard(gate.target)
         elif isinstance(gate, PhaseK):
@@ -628,15 +692,19 @@ class StateVector:
         return _Block(core, axes, shared)
 
     def _join(self) -> None:
-        self._blocks = [self._joined()]
+        self._stored = [self._joined()]
         self._keys = frozenset()
 
     def _hadamard(self, target: int) -> None:
         self._check_qubit(target)
         if target in self._keys:
             self._join()
-        for block in self._blocks:
-            block.hadamard(target)
+        if any(target not in block.factors for block in self._stored):
+            # Hadamards on distinct qubits commute and a repeated one cancels
+            self._pending ^= {target}
+            return
+        for block in self._stored:
+            block.hadamards((target,))
 
     def _phase(self, target: int, k: int) -> None:
         self._check_qubit(target)

@@ -260,6 +260,25 @@ def test_simulate_peaks_under_two_cores(plan):
     assert peak < 2 * core_bytes
 
 
+@WIDE_PLANS
+def test_collapse_stage_allocates_under_a_quarter_core(plan):
+    # the collapse stage's Hadamards wait as one layer, which the next read
+    # applies in place with one slab of scratch, about an eighth of the core
+    circuit = compile_circuit(plan)
+    core_bytes = 16 << (plan.n + 2 * plan.m + 2)
+    state = StateVector.ground(circuit.layout)
+    for name in ("superpose", "amplitude", "phase"):
+        util.apply_all(state, util.stage_gates(circuit, name))
+    tracemalloc.start()
+    try:
+        util.apply_all(state, util.stage_gates(circuit, "collapse"))
+        state.norm()  # the first read applies the pending layer
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * core_bytes
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_random_plans_reproduce_their_reconstruction(seed):

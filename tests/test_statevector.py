@@ -889,6 +889,164 @@ def test_max_difference_matches_the_full_vectors(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# deferred Hadamard layer
+
+
+def two_block_state(rng, layout):
+    """Random factors on every qubit but the last, a CNOT chain joining
+    qubits 0 to total - 2 into the core, and an MCX onto the last qubit
+    splitting off a second block: the last qubit is the key, and qubit 0
+    is core in the first block and a |1> factor in the second.  Returns
+    the state and its amplitudes, computed without the simulator."""
+    total = layout.total
+    factors = {}
+    for qubit in range(total - 1):
+        factor = rng.normal(size=2) + 1j * rng.normal(size=2)
+        factors[qubit] = factor / np.linalg.norm(factor)
+    state = StateVector.product(layout, factors)
+    reference = np.ones(1)
+    for qubit in range(total):
+        reference = np.kron(reference, factors.get(qubit, (1.0, 0.0)))
+    chain = [MCX(((q, 1),), q + 1) for q in range(total - 2)]
+    for gate in (*chain, MCX(((0, 1),), total - 1)):
+        state.apply(gate)
+        reference = reference_apply(total, gate, reference)
+    assert [block.axes for block in state._blocks] == [
+        tuple(range(total - 1)), tuple(range(1, total - 1))
+    ]
+    return state, reference
+
+
+def hadamard_runs(total):
+    """Runs of Hadamard targets on a state from :func:`two_block_state`:
+    random ones, and runs that repeat a target, hit the key qubit, hit
+    qubit 0, and cover every core axis of either block."""
+    key = total - 1
+    special = [[1, 2, 1], [key, 2], [2, key], [0, 3], list(range(total - 1)),
+               list(range(1, total - 1)), [3, 0, 4, 0, 5, 6, 1, 2]]
+    qubit = st.integers(0, total - 1)
+    return st.one_of(st.sampled_from(special), st.lists(qubit, min_size=1, max_size=10))
+
+
+def layer_features(state, run):
+    """Which hard cases a run of Hadamard targets meets on ``state``."""
+    odd = {q for q in run if run.count(q) % 2}
+    blocks = state._blocks
+    features = set()
+    if len(odd) < len(set(run)):
+        features.add("repeat")
+    if set(run) & state._keys:
+        features.add("key")
+    if any(
+        any(q in a.axes for a in blocks) and any(q in b.factors for b in blocks) for q in run
+    ):
+        features.add("core in one block, factored in another")
+    for block in blocks:
+        hit = [q in odd for q in block.axes]
+        if any(all(hit[i:i + 5]) for i in range(len(hit) - 4)):
+            features.add("run of 5 adjacent axes")
+            if hit[0] and hit[-1]:
+                features.add("first and last axis")
+    return features
+
+
+READERS = ("amplitudes", "amplitudes_at", "norm", "probability", "copy", "max_difference",
+           "postselect", "extract", "apply_projector_terms")
+LAYER_COVERAGE = set()  # features and readers met by every example
+
+
+def pattern_of(rng, qubits):
+    return tuple((int(q), int(rng.integers(2))) for q in qubits)
+
+
+def apply_run(state, reference, run):
+    for qubit in run:
+        state.apply(Hadamard(qubit))
+        reference = reference_apply(state.layout.total, Hadamard(qubit), reference)
+    return reference
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def check_hadamard_layer_against_dense_reference(data):
+    layout = data.draw(st.sampled_from([RegisterLayout(1, 1), RegisterLayout(2, 1)]))
+    total = layout.total
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    state, reference = two_block_state(rng, layout)
+    for _ in range(data.draw(st.integers(3, 8))):
+        run = data.draw(hadamard_runs(total))
+        reader = data.draw(st.sampled_from(READERS))
+        LAYER_COVERAGE.update(layer_features(state, run))
+        LAYER_COVERAGE.add(reader)
+        before = reference
+        reference = apply_run(state, reference, run)
+        # every reader below sees the run still pending
+        if reader == "amplitudes":
+            assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+        elif reader == "amplitudes_at":
+            indices = rng.integers(0, 1 << total, size=16)
+            assert np.max(np.abs(state.amplitudes_at(indices) - reference[indices])) < 1e-12
+        elif reader == "norm":
+            assert abs(state.norm() - np.linalg.norm(reference)) < 1e-12
+        elif reader in ("probability", "postselect"):
+            qubits = rng.choice(total, size=int(rng.integers(1, 3)), replace=False)
+            pattern = pattern_of(rng, qubits)
+            mask = np.logical_and.reduce([basis_mask(layout, q, bit) for q, bit in pattern])
+            weight = float(np.sum(np.abs(reference[mask]) ** 2))
+            if reader == "probability":
+                assert abs(state.probability(pattern) - weight) < 1e-12
+            elif weight >= 1e-2:  # renormalizing a faint branch magnifies rounding
+                source = state
+                state, probability = source.postselect(pattern)
+                assert abs(probability - weight) < 1e-12
+                assert np.max(np.abs(source.amplitudes - reference)) < 1e-12
+                reference = np.where(mask, reference, 0.0) / np.sqrt(weight)
+        elif reader == "copy":
+            # a layer pending on either side after the copy stays on that side
+            duplicate = state.copy()
+            copied = apply_run(duplicate, reference, data.draw(hadamard_runs(total)))
+            reference = apply_run(state, reference, data.draw(hadamard_runs(total)))
+            assert np.max(np.abs(duplicate.amplitudes - copied)) < 1e-12
+        elif reader == "max_difference":
+            dense = StateVector.from_amplitudes(layout, before)
+            apply_run(dense, before, run)
+            flushed = data.draw(st.sampled_from(["neither", "state", "dense"]))
+            if flushed != "neither":
+                (state if flushed == "state" else dense).norm()
+            assert state.max_difference(dense) < 1e-12
+            assert dense.max_difference(state) < 1e-12
+        elif reader == "extract":
+            picked = [int(q) for q in rng.permutation(total)[: int(rng.integers(1, total + 1))]]
+            dense = StateVector.from_amplitudes(layout, reference)
+            residual, top = util.gram_top_eigenpair(dense, picked)
+            if residual > 1e-8:
+                with pytest.raises(EntanglementError):
+                    state.extract(picked)
+            elif residual < 1e-12:
+                assert abs(np.vdot(top, state.extract(picked))) ** 2 >= 1.0 - 1e-12
+        else:
+            target = int(rng.integers(total))
+            others = [q for q in range(total) if q != target]
+            pattern = pattern_of(rng, rng.choice(others, size=int(rng.integers(0, 3)), replace=False))
+            state.apply_projector_terms([(pattern, (target,))])
+            reference = reference_apply(total, MCX(pattern, target), reference)
+        assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+
+
+def test_hadamard_layer_matches_dense_reference():
+    LAYER_COVERAGE.clear()
+    check_hadamard_layer_against_dense_reference()
+    assert LAYER_COVERAGE >= {
+        "repeat",
+        "key",
+        "core in one block, factored in another",
+        "run of 5 adjacent axes",
+        "first and last axis",
+        *READERS,
+    }
+
+
+# ----------------------------------------------------------------------
 # phase alignment
 
 
