@@ -10,6 +10,7 @@
 import numpy as np
 
 from bitprep import (
+    STAGE_NAMES,
     RegisterLayout,
     TargetState,
     align_phase,
@@ -43,18 +44,22 @@ circuit = compile_circuit(plan)
 print()
 print(circuit.export_text())
 
-# Run it, keeping the state after every stage.
+# Run it, checking each stage's state against its closed-form prediction
+# as the stage is reached.
 layout = RegisterLayout(plan.n, plan.m)
-run = simulate(circuit, keep_stages=True)
-
 print("branch carrying the encoding, stage by stage:")
-for stage in range(1, 7):
-    state = run.stages[stage - 1]
+
+
+def show_stage(name, state):
+    stage = (*STAGE_NAMES, "measure").index(name) + 1
     pred = predict_stage(plan, stage)
     print(
-        f"  stage {stage}: predicted weight {pred.useful_norm_sq():.9f}, "
+        f"  stage {stage} ({name}): predicted weight {pred.useful_norm_sq():.9f}, "
         f"worst component deviation {pred.max_deviation(state):.2e}"
     )
+
+
+run = simulate(circuit, on_stage=show_stage)
 
 print()
 print("kept-branch probability:", run.probability)

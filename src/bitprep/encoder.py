@@ -24,6 +24,7 @@ leaves the system register in the plan's reconstruction, exactly.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bitplan import BitPlan
@@ -219,35 +220,27 @@ def compile_circuit(plan: BitPlan, *, peephole: bool = False) -> Circuit:
 
 @dataclass(frozen=True)
 class SimRun:
-    """Result of executing a circuit on the dense simulator.
-
-    ``stages`` (present when requested) holds the six states after each
-    stage: five unitary checkpoints and the post-measurement state.
-    ``probability`` is the squared norm the kept branch had before
-    renormalization.
-    """
+    """Result of executing a circuit on the dense simulator; ``probability``
+    is the squared norm the kept branch had before renormalization."""
 
     final: StateVector
     probability: float
-    stages: tuple[StateVector, ...] | None = None
 
 
-def simulate(circuit: Circuit, *, keep_stages: bool = False) -> SimRun:
+def simulate(circuit: Circuit, *, on_stage: Callable[[str, StateVector], None] | None = None) -> SimRun:
+    """Run every stage, then post-select.  ``on_stage(name, state)`` sees each
+    stage's live state (the next stage changes it in place: copy it to keep
+    it), and last ``("measure", final)``."""
     state = StateVector.ground(circuit.layout)
-    checkpoints: list[StateVector] = []
-    for _, start, stop in circuit.stages:
+    for name, start, stop in circuit.stages:
         for gate in circuit.gates[start:stop]:
             state.apply(gate)
-        if keep_stages:
-            checkpoints.append(state.copy())
+        if on_stage is not None:
+            on_stage(name, state)
     final, probability = state.postselect(circuit.terminal.pattern)
-    if keep_stages:
-        checkpoints.append(final)
-    return SimRun(
-        final=final,
-        probability=probability,
-        stages=tuple(checkpoints) if keep_stages else None,
-    )
+    if on_stage is not None:
+        on_stage("measure", final)
+    return SimRun(final=final, probability=probability)
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ terminal measurement.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,17 +139,17 @@ def _initial_superposition(layout: RegisterLayout) -> StateVector:
     return StateVector.product(layout, factors)
 
 
-def run_projector_path(plan: BitPlan) -> tuple[StateVector, ...]:
+def run_projector_path(plan: BitPlan) -> Iterator[StateVector]:
     """Execute all six stages without compiling control patterns to gates.
 
-    Returns the six stage states; the last one is post-measurement.
+    Yields the six stage states; the last one is post-measurement.  Each
+    is live: the next stage changes it in place, so copy one to keep it.
     """
     layout = RegisterLayout(plan.n, plan.m)
     labels = 1 << plan.n
-    states: list[StateVector] = []
 
     state = _initial_superposition(layout)
-    states.append(state.copy())
+    yield state
 
     # amplitude stage: mark, select, unwind, one amplitude bit at a time
     for k in range(plan.m):
@@ -170,7 +171,7 @@ def run_projector_path(plan: BitPlan) -> tuple[StateVector, ...]:
         state.apply_projector_terms([select_term])
         if mark_terms:
             state.apply_projector_terms(mark_terms)
-    states.append(state.copy())
+    yield state
 
     # phase stage: one orthogonal sum over all basis labels
     state.apply_projector_terms(
@@ -182,12 +183,12 @@ def run_projector_path(plan: BitPlan) -> tuple[StateVector, ...]:
             for j in range(labels)
         ]
     )
-    states.append(state.copy())
+    yield state
 
     # collapse stage: plain Hadamard layer on both work registers
     for q in (*layout.amp, *layout.phase):
         state.apply(Hadamard(q))
-    states.append(state.copy())
+    yield state
 
     # label stage: single projector term flipping flag and meter together
     zeros = tuple((q, 0) for q in (*layout.amp, *layout.phase))
@@ -199,11 +200,10 @@ def run_projector_path(plan: BitPlan) -> tuple[StateVector, ...]:
             )
         ]
     )
-    states.append(state.copy())
+    yield state
 
     final, _ = state.postselect(((layout.flag, 1), (layout.meter, 1)))
-    states.append(final)
-    return tuple(states)
+    yield final
 
 
 def naive_success_probability(plan: BitPlan) -> float:

@@ -31,7 +31,6 @@ from bitprep import (
     naive_success_probability,
     predict_stage,
     reconstruct,
-    run_projector_path,
     simulate,
     StateVector,
 )
@@ -110,9 +109,9 @@ def test_criterion_1_worked_example():
 
 
 def test_criterion_2_worked_stage_components():
-    run = simulate(compile_circuit(WORKED), keep_stages=True)
+    stages = util.compiled_stages(compile_circuit(WORKED))
     deviations = [
-        predict_stage(WORKED, stage).max_deviation(run.stages[stage - 1])
+        predict_stage(WORKED, stage).max_deviation(stages[stage - 1])
         for stage in (1, 2, 3, 4, 5)
     ]
     worst = max(deviations)
@@ -241,13 +240,13 @@ def test_criterion_4_dual_path_equivalence():
     worst = 0.0
     plans = _plan_suite()
     for plan in plans:
-        compiled = simulate(compile_circuit(plan), keep_stages=True)
-        direct = run_projector_path(plan)
+        compiled = util.compiled_stages(compile_circuit(plan))
+        direct = util.projector_stages(plan)
         for stage_index in range(6):
             gap = float(
                 np.max(
                     np.abs(
-                        compiled.stages[stage_index].amplitudes
+                        compiled[stage_index].amplitudes
                         - direct[stage_index].amplitudes
                     )
                 )
@@ -265,8 +264,7 @@ def test_criterion_5_success_probability_law():
     worst = 0.0
     for plan in _plan_suite():
         layout = RegisterLayout(plan.n, plan.m)
-        run = simulate(compile_circuit(plan), keep_stages=True)
-        labeled = run.stages[4]
+        labeled = util.compiled_stages(compile_circuit(plan))[4]
         measured = labeled.probability(((layout.flag, 1), (layout.meter, 1)))
         worst = max(worst, abs(measured - naive_success_probability(plan)))
     worked_exact = naive_success_probability(WORKED) == 13.0 / 512.0
@@ -289,8 +287,8 @@ def test_criterion_6_disentanglement():
     skipped_separable = 0
     for plan in (WORKED, *_plan_suite()):
         layout = RegisterLayout(plan.n, plan.m)
-        run = simulate(compile_circuit(plan), keep_stages=True)
-        run.final.extract(layout.system, tol=1e-10)
+        stages = util.compiled_stages(compile_circuit(plan))
+        stages[5].extract(layout.system, tol=1e-10)
         extracted += 1
         # skipping the collapse and labeling operators must leave the
         # system pinned to the work registers -- whenever the plan rows
@@ -302,7 +300,7 @@ def test_criterion_6_disentanglement():
         if len(rows) == 1:
             skipped_separable += 1
             continue
-        for premature in (run.stages[2], run.stages[4]):
+        for premature in (stages[2], stages[4]):
             with pytest.raises(EntanglementError):
                 premature.extract(layout.system, tol=1e-10)
             refused += 1

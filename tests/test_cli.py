@@ -1,5 +1,7 @@
 import hashlib
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bitprep import (
     RegisterLayout,
     SimRun,
     StateVector,
+    TargetState,
     parse_circuit,
     simulate,
 )
@@ -312,7 +315,7 @@ def test_verification_failure_is_exit_1(tmp_path, capsys, monkeypatch):
         index = int(np.argmax(np.abs(amplitudes)))
         amplitudes[index] = -amplitudes[index]
         final = StateVector.from_amplitudes(circuit.layout, amplitudes)
-        return SimRun(final=final, probability=run.probability, stages=run.stages)
+        return SimRun(final=final, probability=run.probability)
 
     monkeypatch.setattr(cli_mod, "simulate", corrupted)
     target = write(tmp_path, "t.target", WORKED_TARGET)
@@ -332,11 +335,14 @@ def test_verification_failure_is_exit_1(tmp_path, capsys, monkeypatch):
 def test_stage_check_catches_a_wrong_stage(tmp_path, capsys, monkeypatch, index, stage):
     real = cli_mod.simulate
 
-    def tampered(circuit, **kwargs):
-        run = real(circuit, **kwargs)
-        # flips the sign wherever system qubit 0 reads 1, block by block
-        run.stages[index].apply(PhaseK(0, 1))
-        return run
+    def tampered(circuit, *, on_stage):
+        def hook(name, state):
+            if name == stage:
+                # flips the sign wherever system qubit 0 reads 1, block by block
+                state.apply(PhaseK(0, 1))
+            on_stage(name, state)
+
+        return real(circuit, on_stage=hook)
 
     monkeypatch.setattr(cli_mod, "simulate", tampered)
     target = write(tmp_path, "t.target", WORKED_TARGET)
@@ -347,3 +353,45 @@ def test_stage_check_catches_a_wrong_stage(tmp_path, capsys, monkeypatch, index,
     check = json.loads(report_path.read_text())["verification"]["checks"][stage]
     assert check["pass"] is False
     assert check["path_deviation"] > 1e-12
+
+
+def test_stage_check_time_counts_as_verify(tmp_path, monkeypatch):
+    real = cli_mod.predict_stage
+
+    def slow(plan, stage):
+        time.sleep(0.02)
+        return real(plan, stage)
+
+    monkeypatch.setattr(cli_mod, "predict_stage", slow)
+    target = write(tmp_path, "t.target", WORKED_TARGET)
+    report_path = tmp_path / "slow.json"
+    assert main([str(target), "--stage-check", "--report", str(report_path)]) == 0
+    # six predictions ran inside simulate, yet their time is verify time
+    timings = json.loads(report_path.read_text())["timings"]
+    assert timings["verify_s"] >= 0.12
+    assert timings["simulate_s"] < timings["verify_s"]
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        util.random_target(np.random.default_rng(27), 2),
+        TargetState.from_polar([0.5] * 4, [0.0, 0.25, 0.5, 0.75]),
+    ],
+    ids=["random", "one-level"],
+)
+def test_stage_check_peaks_under_four_cores(tmp_path, capsys, target):
+    # each stage is compared as it is reached, then dropped, so the two
+    # paths hold one state each, not six
+    entries = "".join(
+        f"polar {float(a)!r} {float(t)!r}\n" for a, t in zip(target.magnitudes, target.phase_turns)
+    )
+    path = write(tmp_path, "wide.target", f"n 2\nm 7\n{entries}")
+    core_bytes = 16 << (2 + 2 * 7 + 2)
+    tracemalloc.start()
+    try:
+        assert main([str(path), "--stage-check"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * core_bytes

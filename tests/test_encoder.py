@@ -16,6 +16,7 @@ from bitprep import (
     Measurement,
     PhaseK,
     RegisterLayout,
+    STAGE_NAMES,
     StateVector,
     TargetState,
     align_phase,
@@ -144,8 +145,7 @@ def test_superpose_state_is_uniform_with_fixed_phases():
 
 
 def test_tag_probability_matches_plan_levels():
-    run = simulate(compile_circuit(WORKED), keep_stages=True)
-    after_amp = run.stages[1]
+    after_amp = util.compiled_stages(compile_circuit(WORKED))[1]
     for j in range(2):
         pattern = LAYOUT.system_pattern(j) + ((LAYOUT.tag, 1),)
         expected = WORKED.amp_ints[j] * 2.0 ** -(WORKED.n + WORKED.m)
@@ -156,11 +156,11 @@ def test_zero_amplitude_row_is_never_tagged():
     plan = decompose(TargetState.from_amplitudes([1.0, 0.0]), 1)
     assert plan.amp_ints.tolist() == [1, 0]
     layout = RegisterLayout(1, 1)
-    run = simulate(compile_circuit(plan), keep_stages=True)
+    stages = util.compiled_stages(compile_circuit(plan))
     tagged = layout.system_pattern(1) + ((layout.tag, 1),)
-    assert run.stages[1].probability(tagged) < 1e-24
+    assert stages[1].probability(tagged) < 1e-24
     # and the kept branch puts nothing on that label
-    final_sys = run.final.extract(layout.system)
+    final_sys = stages[5].extract(layout.system)
     assert abs(final_sys[1]) < 1e-12
 
 
@@ -176,8 +176,7 @@ def test_scratch_clean_at_every_triad_boundary():
 
 
 def test_branch_labels_are_perfectly_correlated():
-    run = simulate(compile_circuit(WORKED), keep_stages=True)
-    labeled = run.stages[4]
+    labeled = util.compiled_stages(compile_circuit(WORKED))[4]
     mixed01 = labeled.probability(((LAYOUT.flag, 0), (LAYOUT.meter, 1)))
     mixed10 = labeled.probability(((LAYOUT.flag, 1), (LAYOUT.meter, 0)))
     both = labeled.probability(((LAYOUT.flag, 1), (LAYOUT.meter, 1)))
@@ -200,9 +199,9 @@ def test_kept_branch_has_pure_marker_pattern():
 
 
 def test_collapse_checkpoint_leaves_system_entangled():
-    run = simulate(compile_circuit(WORKED), keep_stages=True)
+    collapsed = util.compiled_stages(compile_circuit(WORKED))[3]
     with pytest.raises(EntanglementError):
-        run.stages[3].extract(LAYOUT.system)
+        collapsed.extract(LAYOUT.system)
 
 
 # ----------------------------------------------------------------------
@@ -238,11 +237,29 @@ WIDE_PLANS = pytest.mark.parametrize(
 
 @WIDE_PLANS
 def test_label_stage_leaves_the_core_alone(plan):
-    stages = simulate(compile_circuit(plan), keep_stages=True).stages
+    stages = util.compiled_stages(compile_circuit(plan))
     collapsed, labeled = stages[3]._blocks, stages[4]._blocks
     assert labeled[0].axes == collapsed[0].axes
     # the other blocks hold only the system register in their cores
     assert all(block.axes == tuple(range(plan.n)) for block in labeled[1:])
+
+
+def test_on_stage_sees_each_live_stage_in_order():
+    circuit = compile_circuit(util.random_plan(np.random.default_rng(8), 2, 2))
+    seen = []
+
+    def hook(name, state):
+        seen.append((name, state))
+        if name != "measure":
+            # every gate up to the end of this stage, on a fresh state
+            stop = next(stop for stage, _, stop in circuit.stages if stage == name)
+            fresh = util.apply_all(StateVector.ground(circuit.layout), circuit.gates[:stop])
+            assert np.array_equal(state.amplitudes, fresh.amplitudes)
+
+    run = simulate(circuit, on_stage=hook)
+    assert [name for name, _ in seen] == [*STAGE_NAMES, "measure"]
+    assert all(state is seen[0][1] for _, state in seen[:5])
+    assert seen[-1][1] is run.final
 
 
 @WIDE_PLANS

@@ -174,8 +174,7 @@ def test_invalid_stage_rejected():
 
 
 def test_every_stage_matches_prediction_worked():
-    run = simulate(compile_circuit(WORKED), keep_stages=True)
-    for stage, state in enumerate(run.stages, start=1):
+    for stage, state in enumerate(util.compiled_stages(compile_circuit(WORKED)), start=1):
         pred = predict_stage(WORKED, stage)
         assert pred.max_deviation(state) < 1e-12
         assert abs(util.measured_norm_sq(pred, state) - pred.useful_norm_sq()) < 1e-12
@@ -186,8 +185,7 @@ def test_every_stage_matches_prediction_worked():
 def test_every_stage_matches_prediction_random(seed):
     rng = np.random.default_rng(seed)
     plan = util.random_plan(rng, int(rng.integers(1, 3)), int(rng.integers(1, 4)))
-    run = simulate(compile_circuit(plan), keep_stages=True)
-    for stage, state in enumerate(run.stages, start=1):
+    for stage, state in enumerate(util.compiled_stages(compile_circuit(plan)), start=1):
         assert predict_stage(plan, stage).max_deviation(state) < 1e-12
 
 
@@ -196,8 +194,7 @@ def test_unpredicted_weight_never_reaches_the_kept_branch():
     rng = np.random.default_rng(5150)
     for plan in (WORKED, util.random_plan(rng, 2, 2)):
         layout = RegisterLayout(plan.n, plan.m)
-        run = simulate(compile_circuit(plan), keep_stages=True)
-        labeled = run.stages[4]
+        labeled = util.compiled_stages(compile_circuit(plan))[4]
         pred = predict_stage(plan, 5)
         expected = {
             util.basis_index(layout, j, 0, (0,) * plan.m, (1, 1), (1, 1))
@@ -217,8 +214,7 @@ def test_unpredicted_weight_never_reaches_the_kept_branch():
 def test_norm_accounting_random():
     rng = np.random.default_rng(99)
     plan = util.random_plan(rng, 2, 3)
-    run = simulate(compile_circuit(plan), keep_stages=True)
-    for stage, state in enumerate(run.stages, start=1):
+    for stage, state in enumerate(util.compiled_stages(compile_circuit(plan)), start=1):
         pred = predict_stage(plan, stage)
         # a duplicate index would count its weight twice on both sides
         assert len(np.unique(pred.components)) == len(pred.components)
@@ -236,7 +232,7 @@ def test_prediction_layout_mismatch_rejected():
 
 
 def test_projector_path_reproduces_worked_output():
-    states = run_projector_path(WORKED)
+    states = util.projector_stages(WORKED)
     assert len(states) == 6
     expected = reconstruct(WORKED).amplitudes
     system = align_phase(states[5].extract(LAYOUT.system), expected)
@@ -250,17 +246,25 @@ def test_projector_path_agrees_with_compiled_path():
         for _ in range(6)
     ]
     for plan in plans:
-        compiled = simulate(compile_circuit(plan), keep_stages=True)
-        direct = run_projector_path(plan)
+        compiled = util.compiled_stages(compile_circuit(plan))
+        direct = util.projector_stages(plan)
         for stage_index in range(6):
             gap = np.max(
-                np.abs(compiled.stages[stage_index].amplitudes - direct[stage_index].amplitudes)
+                np.abs(compiled[stage_index].amplitudes - direct[stage_index].amplitudes)
             )
             assert gap < 1e-12, f"stage {stage_index + 1} of {plan!r}"
 
 
+def test_projector_path_yields_six_live_states():
+    states = list(run_projector_path(WORKED))
+    assert len(states) == 6
+    # one state advanced in place, then the post-selected one
+    assert all(state is states[0] for state in states[:5])
+    assert states[5] is not states[0]
+
+
 def test_projector_path_matches_predictions():
-    states = run_projector_path(WORKED)
+    states = util.projector_stages(WORKED)
     for stage, state in enumerate(states, start=1):
         assert predict_stage(WORKED, stage).max_deviation(state) < 1e-12
 
@@ -272,7 +276,7 @@ def test_projector_path_matches_predictions():
 def branch_probability(plan):
     """Squared norm of the flag=meter=1 branch after the projector path's label stage."""
     layout = RegisterLayout(plan.n, plan.m)
-    return run_projector_path(plan)[4].probability(((layout.flag, 1), (layout.meter, 1)))
+    return util.projector_stages(plan)[4].probability(((layout.flag, 1), (layout.meter, 1)))
 
 
 def test_worked_probability_is_exact():

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from bitprep import TargetState, decompose
+from bitprep import TargetState, decompose, run_projector_path, simulate
 
 # two-component state with a quarter-turn phase split; quantizes exactly at m=2
 WORKED_AMPLITUDES = np.array([-2j, -3.0]) / np.sqrt(13.0)
@@ -73,6 +73,18 @@ def apply_all(state, gates):
     for gate in gates:
         state.apply(gate)
     return state
+
+
+def compiled_stages(circuit):
+    """Copies of ``simulate``'s six stage states, the last post-measurement."""
+    states = []
+    simulate(circuit, on_stage=lambda _name, state: states.append(state.copy()))
+    return states
+
+
+def projector_stages(plan):
+    """Copies of the projector path's six stage states."""
+    return [state.copy() for state in run_projector_path(plan)]
 
 
 def measured_norm_sq(pred, state) -> float:
