@@ -20,13 +20,16 @@ multiplies all of them into the core, in one allocation, and then runs on
 the core in place.  The basis factors |0> and |1> are two shared
 read-only kets, recognised by identity.
 
-A Hadamard on a qubit that is core in some block is deferred: its target
-is toggled in a pending set, since Hadamards on distinct qubits commute
-and a repeated one cancels.  The blocks are reached only through one
-property, which first applies the pending layer to every block as a
-radix-16 fast Walsh-Hadamard transform, in place (``_Block.hadamards``).
-That property is the single flush point: every reader and every other
-gate goes through it, so none sees a stale state.
+A Hadamard on a core qubit of a block is deferred: the target toggles in
+that block's pending layer, since Hadamards on distinct qubits commute
+and a repeated one cancels.  The blocks are reached through one
+property, which first applies each block's layer as a radix-16 fast
+Walsh-Hadamard transform, in place (``_Block.flush``).  That property is
+the flush point for every reader and every other gate, so none sees a
+stale state.  Two paths read less and leave the layer pending: a split
+whose core controls fix every pending qubit reads its slice as a signed
+sum (see ``_Block.split``), and post-selection and ``probability`` drop
+a block that a basis factor rules out before applying its layer.
 
 Blocks come from one rule.  An MCX whose target is a basis factor in
 every block, and whose controls are each a core qubit or a factor with
@@ -36,18 +39,19 @@ the block untouched, and one that always matches is dropped.  With no
 core control left, the target's factor flips in place; otherwise the
 slice the core controls select is copied into a new block, with those
 controls and the flipped target as basis factors, and zeroed in place,
-at a cost of O(slice).  The target becomes a key qubit.  Invariant: any
-two blocks differ on a key qubit that is a basis factor in both, so
-blocks have disjoint support, and norms, probabilities and
-post-selection weights add over blocks.  Every other gate runs block by
+at a cost of O(slice) when no layer is pending.  The target becomes a
+key qubit.  Invariant: any two blocks differ on a key qubit that is a
+basis factor in both, so blocks have disjoint support, and norms,
+probabilities and post-selection weights add over blocks.  Every other gate runs block by
 block, with factored controls resolved as above so that keys stay
 factors.  The exception is a Hadamard, phase or MCX
 whose target is a key qubit: it first sums the blocks back into one core
 over the union of their axes (merge-back).
 
 Post-selection slices each block's core, skips a block that one of its
-factors rules out without reading its core, and turns each fixed qubit
-into a basis factor, so it never fills a full-width vector.
+factors rules out without reading its core or applying its layer, and
+turns each fixed qubit into a basis factor, so it never fills a
+full-width vector.
 ``amplitudes`` materialises the full vector only when asked,
 ``amplitudes_at`` reads chosen amplitudes without it, and
 ``max_difference`` compares two states block against block.  A single
@@ -58,6 +62,7 @@ apply the pending layer, but distinct vectors are independent.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -105,21 +110,46 @@ def _transform(view: Array, matrix: Array) -> None:
         slab[...] = scratch
 
 
+def _signed_sum(tensor: Array, bits: Sequence[tuple[int, int]]) -> Array:
+    """A new array: ``tensor`` summed over the axes of the (axis, bit)
+    pairs ``bits``, with the 1 half of each axis whose bit is 1 negated.
+
+    That is the entry at those bits of the unscaled Walsh-Hadamard
+    transform over those axes; with no ``bits`` it is a copy.
+    """
+    ones = sorted((axis for axis, bit in bits if bit), reverse=True)
+    for axis in ones:
+        index = (slice(None),) * axis
+        tensor = tensor[(*index, 0)] - tensor[(*index, 1)]
+    zeros = tuple(axis - sum(one < axis for one in ones) for axis, bit in bits if not bit)
+    shape = [length for axis, length in enumerate(tensor.shape) if axis not in zeros]
+    return np.sum(tensor, axis=zeros, out=np.empty(shape, np.complex128))
+
+
 def _same(factor: Array | None, other: Array) -> bool:
     return factor is other or (factor is not None and np.array_equal(factor, other))
 
 
 class _Block:
-    """One term of a state: a dense core over ``axes`` times exact factors."""
+    """One term of a state: a dense core over ``axes`` times exact factors.
 
-    __slots__ = ("core", "axes", "factors")
+    The core still owes a Hadamard on each core qubit in ``layer``, and
+    after that layer, a zero on the slice of each (qubit, bit) pattern in
+    ``zeroed``; :meth:`flush` pays both.  ``zeroed`` is empty while
+    ``layer`` is.
+    """
+
+    __slots__ = ("core", "axes", "factors", "layer", "zeroed")
 
     def __init__(self, core: Array, axes: tuple[int, ...], factors: dict[int, Array]):
         self.core = core
         self.axes = axes
         self.factors = factors
+        self.layer: frozenset[int] = frozenset()
+        self.zeroed: list[dict[int, int]] = []
 
     def copy(self) -> "_Block":
+        """A copy of a flushed block."""
         return _Block(self.core.copy(), self.axes, dict(self.factors))
 
     def norm(self) -> float:
@@ -147,10 +177,16 @@ class _Block:
         if not self.axes:
             return tuple(new), joint
         axes = tuple(sorted((*self.axes, *new)))
-        in_core = set(self.axes)
-        core = self.core.reshape([2 if q in in_core else 1 for q in axes])
-        joint = joint.reshape([1 if q in in_core else 2 for q in axes])
-        return axes, np.multiply(core, joint, out=np.empty((2,) * len(axes), np.complex128))
+        # one broadcast axis per run of adjacent core or factored qubits,
+        # so numpy's inner loop runs longer than 2
+        runs = [(in_core, len(list(run))) for in_core, run in groupby(axes, set(self.axes).__contains__)]
+        out = np.empty((2,) * len(axes), np.complex128)
+        np.multiply(
+            self.core.reshape([1 << k if in_core else 1 for in_core, k in runs]),
+            joint.reshape([1 if in_core else 1 << k for in_core, k in runs]),
+            out=out.reshape([1 << k for _, k in runs]),
+        )
+        return axes, out
 
     def merge(self, qubits: Sequence[int]) -> None:
         """Move the factored ``qubits`` into the core."""
@@ -184,9 +220,11 @@ class _Block:
     def branch(self, fixed: dict[int, int]) -> tuple[Array, complex, float] | None:
         """The core slice of a pattern's branch, the amplitude its fixed
         factored qubits contribute, and the branch's squared norm; None,
-        without reading the core, when a basis factor contradicts it."""
+        without reading the core or applying its layer, when a basis
+        factor contradicts it."""
         if any(self.factors.get(q) is _KETS[1 - bit] for q, bit in fixed.items()):
             return None
+        self.flush()
         amplitude = 1.0
         weight = 1.0
         for qubit, factor in self.factors.items():
@@ -200,37 +238,47 @@ class _Block:
         weight *= abs(amplitude) ** 2 * float(np.vdot(kept, kept).real)
         return kept, amplitude, weight
 
-    def hadamards(self, targets: Sequence[int]) -> None:
-        """Hadamards on the distinct, ascending ``targets``.
+    def hadamard(self, target: int) -> None:
+        """A Hadamard: a factored target's 2-vector updates now, and a core
+        target toggles in the pending layer, since Hadamards on distinct
+        qubits commute and a repeated one cancels."""
+        factor = self.factors.get(target)
+        if factor is not None:
+            low, high = factor
+            self.factors[target] = np.array([low + high, low - high]) * _SQRT_HALF
+            return
+        if self.zeroed:  # the zeroing does not commute with a later Hadamard
+            self.flush()
+        self.layer ^= {target}
 
-        Factored targets update their 2-vectors.  The core's targets are
-        grouped into runs of at most 4 adjacent axes, and each run is one
-        fast Walsh-Hadamard pass: its +-1 Sylvester matrix applied to the
-        float64 view of the core (H is real, so real and imaginary parts
-        transform alike), with the 2**(-k/2) scale folded into the last
-        pass.  A pass goes slab by slab over the larger of the dimensions
-        before and after the run, in at most 8 slabs, so its scratch is
-        about an eighth of the core.
+    def flush(self) -> None:
+        """Apply the pending layer to the core in place, then the zeroing.
+
+        The layer's qubits are grouped into runs of at most 4 adjacent
+        axes, and each run is one fast Walsh-Hadamard pass: its +-1
+        Sylvester matrix applied to the float64 view of the core (H is
+        real, so real and imaginary parts transform alike), with the
+        2**(-k/2) scale folded into the last pass.  A pass goes slab by
+        slab over the larger of the dimensions before and after the run,
+        in at most 8 slabs, so its scratch is about an eighth of the core.
         """
+        if not self.layer:
+            return
         runs: list[list[int]] = []  # [first axis, length]
-        for target in targets:
-            factor = self.factors.get(target)
-            if factor is not None:
-                low, high = factor
-                self.factors[target] = np.array([low + high, low - high]) * _SQRT_HALF
-                continue
-            axis = self.axes.index(target)
+        for axis in (i for i, qubit in enumerate(self.axes) if qubit in self.layer):
             if runs and runs[-1][0] + runs[-1][1] == axis and runs[-1][1] < 4:
                 runs[-1][1] += 1
             else:
                 runs.append([axis, 1])
-        if not runs:
-            return
-        scale = 2.0 ** (-0.5 * sum(length for _, length in runs))
+        scale = 2.0 ** (-0.5 * len(self.layer))
         real = self.core.reshape(-1).view(np.float64)
         for i, (first, length) in enumerate(runs):
             matrix = _SYLVESTER[length] * scale if i == len(runs) - 1 else _SYLVESTER[length]
             _transform(real.reshape(1 << first, 1 << length, -1), matrix)
+        for pattern in self.zeroed:
+            self.view(pattern.items())[...] = 0.0
+        self.layer = frozenset()
+        self.zeroed = []
 
     def phase(self, target: int, rotation: complex) -> None:
         factor = self.factors.get(target)
@@ -275,7 +323,16 @@ class _Block:
 
     def split(self, controls: Iterable[tuple[int, int]], target: int) -> "_Block | None":
         """MCX on a block that :meth:`splits`; returns the block the matched
-        slice moves to, or None if nothing moved out."""
+        slice moves to, or None if nothing moved out.
+
+        The matched slice is read through the pending layer when the core
+        controls fix each of its qubits: it is then the core's sum over
+        them, signed by their bits (:func:`_signed_sum`) and scaled by
+        2**(-|layer|/2).  The layer stays pending, and the slice left
+        behind is recorded for zeroing after it.  A slice inside a
+        recorded one is an exact zero.  Any other split applies the layer
+        first, and then copies the slice and zeroes it in place.
+        """
         pattern = self.resolved(controls)
         if pattern is None:
             return None
@@ -283,22 +340,33 @@ class _Block:
         if not pattern:
             self.factors[target] = flipped
             return None
-        matched = self.view(pattern)
         fixed = dict(pattern)
         factors = dict(self.factors)
         for qubit, bit in pattern:
             factors[qubit] = _KETS[bit]
         factors[target] = flipped
-        block = _Block(matched.copy(), tuple(q for q in self.axes if q not in fixed), factors)
-        matched[...] = 0.0
-        return block
+        axes = tuple(q for q in self.axes if q not in fixed)
+        met = [z for z in self.zeroed if all(fixed.get(q, bit) == bit for q, bit in z.items())]
+        if any(z.keys() <= fixed.keys() for z in met):
+            return _Block(np.zeros((2,) * len(axes), np.complex128), axes, factors)
+        if met or not self.layer <= fixed.keys():
+            self.flush()
+        free = [q for q in self.axes if q not in fixed or q in self.layer]
+        matched = self.view((q, bit) for q, bit in pattern if q not in self.layer)
+        core = _signed_sum(matched, [(free.index(q), fixed[q]) for q in self.layer])
+        if self.layer:
+            core *= 2.0 ** (-0.5 * len(self.layer))
+            self.zeroed.append(fixed)
+        else:
+            matched[...] = 0.0
+        return _Block(core, axes, factors)
 
 
 class StateVector:
     """Amplitudes over a :class:`RegisterLayout`: a sum of disjoint blocks,
     each a dense core times qubit factors."""
 
-    __slots__ = ("layout", "_stored", "_keys", "_pending")
+    __slots__ = ("layout", "_stored", "_keys")
 
     def __init__(
         self,
@@ -309,22 +377,20 @@ class StateVector:
         self.layout = layout
         self._stored = blocks
         self._keys = keys
-        # core Hadamard targets not yet applied: see ``_blocks``
-        self._pending: set[int] = set()
 
     @property
     def _blocks(self) -> list[_Block]:
-        """The blocks, after applying the pending Hadamard layer.
+        """The blocks, each with its pending Hadamard layer applied.
 
         Every read and write of the blocks goes through here, so none
-        sees a stale state; only the constructor, :meth:`_join`,
-        :meth:`_hadamard` and this property touch ``_stored``.
+        sees a stale state, except :meth:`_hadamard`, the split in
+        :meth:`_mcx`, :meth:`probability` and :meth:`postselect`: they
+        reach a core only through ``_Block`` methods that apply its
+        layer as they need.
         """
-        if self._pending:
-            targets = sorted(self._pending)
-            self._pending = set()
-            for block in self._stored:
-                block.hadamards(targets)
+        for block in self._stored:
+            if block.layer:
+                block.flush()
         return self._stored
 
     # ------------------------------------------------------------------
@@ -437,7 +503,7 @@ class StateVector:
     def probability(self, pattern: Iterable[tuple[int, int]]) -> float:
         """Squared norm of the components matching a (qubit, bit) pattern."""
         fixed = self._fixed(pattern)
-        branches = (block.branch(fixed) for block in self._blocks)
+        branches = (block.branch(fixed) for block in self._stored)
         return sum((branch[2] for branch in branches if branch is not None), 0.0)
 
     def max_difference(self, other: "StateVector") -> float:
@@ -552,7 +618,7 @@ class StateVector:
             raise ValueError("post-selection pattern is empty")
         branches = [
             (block, branch)
-            for block in self._blocks
+            for block in self._stored
             if (branch := block.branch(fixed)) is not None
         ]
         probability = sum((weight for _, (_, _, weight) in branches), 0.0)
@@ -699,12 +765,8 @@ class StateVector:
         self._check_qubit(target)
         if target in self._keys:
             self._join()
-        if any(target not in block.factors for block in self._stored):
-            # Hadamards on distinct qubits commute and a repeated one cancels
-            self._pending ^= {target}
-            return
         for block in self._stored:
-            block.hadamards((target,))
+            block.hadamard(target)
 
     def _phase(self, target: int, k: int) -> None:
         self._check_qubit(target)
@@ -720,14 +782,14 @@ class StateVector:
             self._check_qubit(qubit)
         if target in self._keys:
             self._join()
-        blocks = self._blocks
+        blocks = self._stored
         if len(blocks) == 1:
             factor = blocks[0].factors.get(target)
             if factor is not _ZERO and factor is not _ONE:
-                blocks[0].swap(controls, target)
+                self._blocks[0].swap(controls, target)
                 return
         if not all(block.splits(controls, target) for block in blocks):
-            for block in blocks:
+            for block in self._blocks:
                 pattern = block.resolved(controls)
                 if pattern is not None:
                     block.swap(pattern, target)

@@ -23,10 +23,12 @@ from bitprep import (
     analyze,
     compile_circuit,
     decompose,
+    naive_success_probability,
     parse_circuit,
     reconstruct,
     simulate,
 )
+from bitprep import statevector
 from bitprep.encoder import (
     amplitude_triads,
     build_branch_labeling,
@@ -223,16 +225,13 @@ def test_basis_state_target_is_exact():
     assert abs(system[0]) < 1e-12
 
 
-WIDE_PLANS = pytest.mark.parametrize(
-    "plan",
-    [
-        util.random_plan(np.random.default_rng(27), 2, 7),
-        # every level is 64: the select gates of bits 0-5 never match, so
-        # those amp qubits stay factors, each numerically |0> after collapse
-        decompose(TargetState.from_polar([0.5] * 4, [0.0, 0.25, 0.5, 0.75]), 7),
-    ],
-    ids=["random", "one-level"],
-)
+WIDE = [
+    util.random_plan(np.random.default_rng(27), 2, 7),
+    # every level is 64: the select gates of bits 0-5 never match, so
+    # those amp qubits stay factors, each numerically |0> after collapse
+    decompose(TargetState.from_polar([0.5] * 4, [0.0, 0.25, 0.5, 0.75]), 7),
+]
+WIDE_PLANS = pytest.mark.parametrize("plan", WIDE, ids=["random", "one-level"])
 
 
 @WIDE_PLANS
@@ -277,10 +276,33 @@ def test_simulate_peaks_under_two_cores(plan):
     assert peak < 2 * core_bytes
 
 
+@pytest.mark.parametrize(
+    "plan, passes",
+    [*zip(WIDE, (4, 2)), (util.random_plan(np.random.default_rng(94), 9, 4), 2)],
+    ids=["random", "one-level", "n9-m4"],
+)
+def test_plain_simulate_transforms_no_core(plan, passes, monkeypatch):
+    # the label stage reads its kept slice through the pending collapse
+    # layer and post-selection drops the rest unread, so a plain run makes
+    # no Walsh-Hadamard pass; a hook that reads each stage applies the
+    # whole layer, one pass per run of up to 4 adjacent work axes
+    calls = []
+    transform = statevector._transform
+    monkeypatch.setattr(statevector, "_transform", lambda *args: calls.append(args) or transform(*args))
+    circuit = compile_circuit(plan)
+    plain = simulate(circuit)
+    assert calls == []
+    read = simulate(circuit, on_stage=lambda name, state: state.norm())
+    assert len(calls) == passes
+    for run in (plain, read):
+        assert abs(run.probability - naive_success_probability(plan)) < 1e-12
+
+
 @WIDE_PLANS
 def test_collapse_stage_allocates_under_a_quarter_core(plan):
-    # the collapse stage's Hadamards wait as one layer, which the next read
-    # applies in place with one slab of scratch, about an eighth of the core
+    # the collapse stage's Hadamards wait as one layer; a plain run reads
+    # only the kept slice through it, and a full read such as this one
+    # applies it in place with one slab of scratch, about an eighth of the core
     circuit = compile_circuit(plan)
     core_bytes = 16 << (plan.n + 2 * plan.m + 2)
     state = StateVector.ground(circuit.layout)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from bitprep import (
     reconstruct,
     simulate,
 )
+from bitprep.statevector import _KETS, _Block
 
 SMALL = RegisterLayout(1, 1)  # 7 qubits, 128 amplitudes
 
@@ -535,10 +538,37 @@ def operations(total):
     )
 
 
+def check_every_merge_pattern(total):
+    """Merge every factor into a block whose core holds any subset of
+    ``total`` qubits, so core and factored axes interleave in every
+    pattern: the result must be bytewise the broadcast with one axis per
+    qubit.  Core entries are small Gaussian integers and factor entries
+    small positive integers, so every product is exact, whatever the
+    order the factors are multiplied in, and no product is a signed zero."""
+    rng = np.random.default_rng(total)
+    for mask in range(1 << total):
+        core = tuple(q for q in range(total) if mask >> (total - 1 - q) & 1)
+        factors = {q: rng.integers(1, 4, 2) + 0j for q in range(total) if q not in core}
+        shape = (2,) * len(core)
+        values = rng.choice([-3, -2, -1, 1, 2, 3], (2, *shape))
+        block = _Block(np.asarray(values[0] + 1j * values[1]), core, dict(factors))
+        axes, merged = block.merged(range(total))
+        joint = functools.reduce(np.multiply.outer, factors.values(), np.ones(()))
+        expected = np.multiply(
+            block.core.reshape([2 if q in core else 1 for q in range(total)]),
+            joint.reshape([1 if q in core else 2 for q in range(total)]),
+        )
+        assert axes == tuple(range(total))
+        assert merged.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_factored_and_merged_qubits_match_dense_reference(data):
-    layout = data.draw(st.sampled_from([RegisterLayout(1, 1), RegisterLayout(2, 1)]))
+    layout = data.draw(st.sampled_from([RegisterLayout(1, 1), RegisterLayout(2, 1), "every merge"]))
+    if layout == "every merge":  # drawn once: it draws nothing more
+        check_every_merge_pattern(8)
+        return
     total = layout.total
     state = StateVector.ground(layout)
     reference = np.zeros(1 << total, dtype=np.complex128)
@@ -952,7 +982,9 @@ def layer_features(state, run):
 
 READERS = ("amplitudes", "amplitudes_at", "norm", "probability", "copy", "max_difference",
            "postselect", "extract", "apply_projector_terms")
-LAYER_COVERAGE = set()  # features and readers met by every example
+SPLIT_CASES = ("signed sum", "zero block", "layer applied first", "overlaps a zeroed slice",
+               "Hadamard on a zeroed block", "postselect drops a pending block")
+LAYER_COVERAGE = set()  # features, readers and (split case, next reader) met by every example
 
 
 def pattern_of(rng, qubits):
@@ -966,6 +998,143 @@ def apply_run(state, reference, run):
     return reference
 
 
+def spare_targets(state):
+    """Qubits that are a basis ket in every block and not a key: an MCX
+    onto one splits."""
+    return [
+        q for q in range(state.layout.total)
+        if q not in state._keys and all(block.splits((), q) for block in state._stored)
+    ]
+
+
+def fix_heavier(state, reference, qubit):
+    """Post-select ``qubit`` onto its heavier value."""
+    masks = [basis_mask(state.layout, qubit, bit) for bit in (0, 1)]
+    weights = [float(np.sum(np.abs(reference[mask]) ** 2)) for mask in masks]
+    bit = int(weights[1] > weights[0])
+    state, probability = state.postselect([(qubit, bit)])
+    assert abs(probability - weights[bit]) < 1e-12
+    return state, np.where(masks[bit], reference, 0.0) / np.sqrt(weights[bit])
+
+
+def free_two_targets(state, reference):
+    """Post-select every key, and then the last core qubits, onto their
+    heavier values, until two qubits are spare targets."""
+    for key in sorted(state._keys):
+        state, reference = fix_heavier(state, reference, key)
+    while len(spare_targets(state)) < 2 and state._stored[0].axes:
+        state, reference = fix_heavier(state, reference, state._stored[0].axes[-1])
+    return state, reference
+
+
+def rules_out(block, pattern):
+    return any(block.factors.get(q) is _KETS[1 - bit] for q, bit in pattern)
+
+
+def split_cases(state, gate):
+    """How a split reads each block whose layer is pending."""
+    cases = set()
+    if not all(block.splits(gate.controls, gate.target) for block in state._stored):
+        return cases
+    for block in state._stored:
+        pattern = block.resolved(gate.controls)
+        if not pattern or not block.layer:
+            continue
+        fixed = dict(pattern)
+        met = [z for z in block.zeroed if all(fixed.get(q, bit) == bit for q, bit in z.items())]
+        if any(z.keys() <= fixed.keys() for z in met):
+            cases.add("zero block")
+        elif met:
+            cases.add("overlaps a zeroed slice")
+        elif not block.layer <= fixed.keys():
+            cases.add("layer applied first")
+        elif any(fixed[q] for q in block.layer):
+            cases.add("signed sum")
+    return cases
+
+
+def split_gates(rng, block, targets):
+    """Two MCX gates onto the spare ``targets``, controlled on ``block``'s
+    core: the first fixes all or some of its pending qubits, maybe with
+    one more core qubit, and the second repeats that pattern, drops one of
+    its qubits, or fixes every pending qubit anew."""
+    layer = sorted(block.layer)
+    if rng.integers(2) and len(layer) > 1:
+        layer = sorted(rng.choice(layer, size=int(rng.integers(1, len(layer))), replace=False))
+    others = [q for q in block.axes if q not in block.layer]
+    extra = [int(rng.choice(others))] if others and rng.integers(2) else []
+    first = pattern_of(rng, sorted(layer + extra))
+    second = rng.choice(["same", "drop one", "anew"])
+    if second == "drop one" and first:
+        dropped = extra[0] if extra else first[-1][0]
+        second = tuple(pair for pair in first if pair[0] != dropped)
+    elif second == "anew":
+        second = pattern_of(rng, sorted(block.layer))
+    else:
+        second = first
+    return [MCX(first, targets[0]), MCX(second, targets[1])]
+
+
+def read_pending(reader, data, rng, state, reference, before, gates):
+    """Check ``reader`` on a state whose layer may still be pending, with
+    ``reference`` its amplitudes, reached by ``gates`` from ``before``;
+    returns the state and reference after it."""
+    layout = state.layout
+    total = layout.total
+    if reader == "amplitudes":
+        assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+    elif reader == "amplitudes_at":
+        indices = rng.integers(0, 1 << total, size=16)
+        assert np.max(np.abs(state.amplitudes_at(indices) - reference[indices])) < 1e-12
+    elif reader == "norm":
+        assert abs(state.norm() - np.linalg.norm(reference)) < 1e-12
+    elif reader in ("probability", "postselect"):
+        qubits = rng.choice(total, size=int(rng.integers(1, 3)), replace=False)
+        pattern = pattern_of(rng, qubits)
+        mask = np.logical_and.reduce([basis_mask(layout, q, bit) for q, bit in pattern])
+        weight = float(np.sum(np.abs(reference[mask]) ** 2))
+        if reader == "probability":
+            assert abs(state.probability(pattern) - weight) < 1e-12
+        elif weight >= 1e-2:  # renormalizing a faint branch magnifies rounding
+            source = state
+            dropped = [block for block in state._stored if block.layer and rules_out(block, pattern)]
+            state, probability = source.postselect(pattern)
+            assert all(block.layer for block in dropped)
+            assert abs(probability - weight) < 1e-12
+            assert np.max(np.abs(source.amplitudes - reference)) < 1e-12
+            reference = np.where(mask, reference, 0.0) / np.sqrt(weight)
+    elif reader == "copy":
+        # a layer pending on either side after the copy stays on that side
+        duplicate = state.copy()
+        copied = apply_run(duplicate, reference, data.draw(hadamard_runs(total)))
+        reference = apply_run(state, reference, data.draw(hadamard_runs(total)))
+        assert np.max(np.abs(duplicate.amplitudes - copied)) < 1e-12
+    elif reader == "max_difference":
+        dense = util.apply_all(StateVector.from_amplitudes(layout, before), gates)
+        flushed = data.draw(st.sampled_from(["neither", "state", "dense"]))
+        if flushed != "neither":
+            (state if flushed == "state" else dense).norm()
+        assert state.max_difference(dense) < 1e-12
+        assert dense.max_difference(state) < 1e-12
+    elif reader == "extract":
+        picked = [int(q) for q in rng.permutation(total)[: int(rng.integers(1, total + 1))]]
+        dense = StateVector.from_amplitudes(layout, reference)
+        residual, top = util.gram_top_eigenpair(dense, picked)
+        if residual > 1e-8:
+            with pytest.raises(EntanglementError):
+                state.extract(picked)
+        elif residual < 1e-12:
+            assert abs(np.vdot(top, state.extract(picked))) ** 2 >= 1.0 - 1e-12
+    else:
+        target = int(rng.integers(total))
+        others = [q for q in range(total) if q != target]
+        pattern = pattern_of(rng, rng.choice(others, size=int(rng.integers(0, 3)), replace=False))
+        state.apply_projector_terms([(pattern, (target,))])
+        reference = reference_apply(total, MCX(pattern, target), reference)
+    assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+    return state, reference
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def check_hadamard_layer_against_dense_reference(data):
@@ -974,63 +1143,63 @@ def check_hadamard_layer_against_dense_reference(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     state, reference = two_block_state(rng, layout)
     for _ in range(data.draw(st.integers(3, 8))):
-        run = data.draw(hadamard_runs(total))
+        split = data.draw(st.integers(0, 2)) == 0
+        if split:
+            # the run stays on core qubits, and MCX gates onto spare
+            # targets then split through its pending layer
+            state, reference = free_two_targets(state, reference)
+            split = bool(state._stored[0].axes)
+        if split:
+            run = data.draw(st.lists(st.sampled_from(state._stored[0].axes), min_size=1, max_size=5))
+        else:
+            run = data.draw(hadamard_runs(total))
         reader = data.draw(st.sampled_from(READERS))
         LAYER_COVERAGE.update(layer_features(state, run))
         LAYER_COVERAGE.add(reader)
-        before = reference
+        before, snapshot = reference, state.copy() if split else None
         reference = apply_run(state, reference, run)
-        # every reader below sees the run still pending
-        if reader == "amplitudes":
-            assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
-        elif reader == "amplitudes_at":
-            indices = rng.integers(0, 1 << total, size=16)
-            assert np.max(np.abs(state.amplitudes_at(indices) - reference[indices])) < 1e-12
-        elif reader == "norm":
-            assert abs(state.norm() - np.linalg.norm(reference)) < 1e-12
-        elif reader in ("probability", "postselect"):
-            qubits = rng.choice(total, size=int(rng.integers(1, 3)), replace=False)
-            pattern = pattern_of(rng, qubits)
+        gates = [Hadamard(qubit) for qubit in run]  # from ``before`` to now
+        cases = set()
+        if split:
+            targets = spare_targets(state)[:2]
+            flipped = [(q, int(state._stored[0].factors[q] is _KETS[0])) for q in targets]
+            for gate in split_gates(rng, state._stored[0], targets):
+                met = split_cases(state, gate)
+                kept = [block for block in state._stored if block.layer]
+                state.apply(gate)
+                reference = reference_apply(total, gate, reference)
+                gates.append(gate)
+                if met & {"signed sum", "zero block"}:
+                    assert all(block.layer for block in kept)  # read without applying it
+                cases |= met
+            if rng.integers(2):  # Hadamards after the split
+                more = [int(q) for q in rng.choice(state._stored[0].axes, size=2)]
+                if any(block.zeroed and q in block.axes for block in state._stored for q in more):
+                    cases.add("Hadamard on a zeroed block")
+                reference = apply_run(state, reference, more)
+                gates += [Hadamard(q) for q in more]
+            # post-select nothing, the branch both gates flipped, or any branch
+            keep = rng.choice(["nothing", "flipped", "any"])
+            pattern = flipped if keep == "flipped" else pattern_of(rng, targets)
             mask = np.logical_and.reduce([basis_mask(layout, q, bit) for q, bit in pattern])
             weight = float(np.sum(np.abs(reference[mask]) ** 2))
-            if reader == "probability":
-                assert abs(state.probability(pattern) - weight) < 1e-12
-            elif weight >= 1e-2:  # renormalizing a faint branch magnifies rounding
-                source = state
-                state, probability = source.postselect(pattern)
+            if keep != "nothing" and weight >= 1e-2:
+                dropped = [block for block in state._stored if block.layer and rules_out(block, pattern)]
+                state, probability = state.postselect(pattern)
                 assert abs(probability - weight) < 1e-12
-                assert np.max(np.abs(source.amplitudes - reference)) < 1e-12
+                assert all(block.layer for block in dropped)  # dropped without applying it
+                if dropped:
+                    cases.add("postselect drops a pending block")
                 reference = np.where(mask, reference, 0.0) / np.sqrt(weight)
-        elif reader == "copy":
-            # a layer pending on either side after the copy stays on that side
-            duplicate = state.copy()
-            copied = apply_run(duplicate, reference, data.draw(hadamard_runs(total)))
-            reference = apply_run(state, reference, data.draw(hadamard_runs(total)))
-            assert np.max(np.abs(duplicate.amplitudes - copied)) < 1e-12
-        elif reader == "max_difference":
-            dense = StateVector.from_amplitudes(layout, before)
-            apply_run(dense, before, run)
-            flushed = data.draw(st.sampled_from(["neither", "state", "dense"]))
-            if flushed != "neither":
-                (state if flushed == "state" else dense).norm()
-            assert state.max_difference(dense) < 1e-12
-            assert dense.max_difference(state) < 1e-12
-        elif reader == "extract":
-            picked = [int(q) for q in rng.permutation(total)[: int(rng.integers(1, total + 1))]]
-            dense = StateVector.from_amplitudes(layout, reference)
-            residual, top = util.gram_top_eigenpair(dense, picked)
-            if residual > 1e-8:
-                with pytest.raises(EntanglementError):
-                    state.extract(picked)
-            elif residual < 1e-12:
-                assert abs(np.vdot(top, state.extract(picked))) ** 2 >= 1.0 - 1e-12
-        else:
-            target = int(rng.integers(total))
-            others = [q for q in range(total) if q != target]
-            pattern = pattern_of(rng, rng.choice(others, size=int(rng.integers(0, 3)), replace=False))
-            state.apply_projector_terms([(pattern, (target,))])
-            reference = reference_apply(total, MCX(pattern, target), reference)
-        assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+                before, snapshot, gates = reference, state, []
+            # every reader after the split, each on its own replay of it
+            for other in READERS if cases else ():
+                if other != reader:
+                    replica = util.apply_all(snapshot.copy(), gates)
+                    read_pending(other, data, rng, replica, reference, before, gates)
+            LAYER_COVERAGE.update((case, other) for case in cases for other in READERS)
+        # the reader sees the run, and any split after it, still pending
+        state, reference = read_pending(reader, data, rng, state, reference, before, gates)
 
 
 def test_hadamard_layer_matches_dense_reference():
@@ -1043,6 +1212,7 @@ def test_hadamard_layer_matches_dense_reference():
         "run of 5 adjacent axes",
         "first and last axis",
         *READERS,
+        *((case, reader) for case in SPLIT_CASES for reader in READERS),
     }
 
 
