@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -126,7 +127,7 @@ def parse_target_file(text: str) -> tuple[int, int | None, TargetState]:
                 pair = (float(tokens[1]), float(tokens[2]))
             except ValueError:
                 raise TargetFileError(f"line {lineno}: bad number in entry") from None
-            if not all(np.isfinite(pair)):
+            if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
                 raise TargetFileError(f"line {lineno}: entries must be finite")
             entries.append(pair)
         else:

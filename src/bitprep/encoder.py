@@ -27,6 +27,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitplan import BitPlan
 from .errors import CircuitFormatError
 from .gates import MCX, Gate, Hadamard, PhaseK, gate_qubits
@@ -79,37 +81,43 @@ class Circuit:
             cursor = stop
         if cursor != len(self.gates):
             raise ValueError(f"stages cover {cursor} gates of {len(self.gates)}")
+        total = self.layout.total
         for gate in self.gates:
-            for qubit in gate_qubits(gate):
-                if not 0 <= qubit < self.layout.total:
-                    raise ValueError(f"gate {gate!r} touches qubit {qubit} outside layout")
+            qubits = gate_qubits(gate)
+            if min(qubits) < 0 or max(qubits) >= total:
+                qubit = next(q for q in qubits if not 0 <= q < total)
+                raise ValueError(f"gate {gate!r} touches qubit {qubit} outside layout")
         for qubit in (self.terminal.control, self.terminal.measured):
-            if not 0 <= qubit < self.layout.total:
+            if not 0 <= qubit < total:
                 raise ValueError(f"terminal measurement touches qubit {qubit} outside layout")
 
     def export_text(self) -> str:
-        """Deterministic text form; see :func:`parse_circuit`."""
+        """Deterministic text form; see :func:`parse_circuit`.  A gate object
+        listed more than once, as a mark and its unwind are, is formatted once."""
         lines = [_FORMAT_MAGIC, f"n {self.layout.n}", f"m {self.layout.m}"]
         for name, first, last in self.layout.register_table():
             lines.append(f"reg {name} {first} {last}")
+        # each control's "+q " or "-q " token, shared by every MCX line
+        tokens = {(q, bit): f"{'+' if bit else '-'}{q} " for q in range(self.layout.total) for bit in (0, 1)}
+        formatted: dict[int, str] = {}
         for name, start, stop in self.stages:
             lines.append(f"stage {name}")
             for gate in self.gates[start:stop]:
-                lines.append(_gate_line(gate))
+                line = formatted.get(id(gate))
+                if line is None:
+                    line = formatted[id(gate)] = _gate_line(gate, tokens)
+                lines.append(line)
         lines.append(f"CMEAS {self.terminal.control} {self.terminal.measured}")
         return "\n".join(lines) + "\n"
 
 
-def _gate_line(gate: Gate) -> str:
+def _gate_line(gate: Gate, tokens: dict[tuple[int, int], str]) -> str:
     if isinstance(gate, Hadamard):
         return f"H {gate.target}"
     if isinstance(gate, PhaseK):
         return f"P {gate.k} {gate.target}"
     if isinstance(gate, MCX):
-        controls = "".join(
-            f"{'+' if bit else '-'}{qubit} " for qubit, bit in gate.controls
-        )
-        return f"MCX {controls}{gate.target}"
+        return f"MCX {''.join(map(tokens.__getitem__, gate.controls))}{gate.target}"
     raise TypeError(f"not a gate: {gate!r}")
 
 
@@ -133,6 +141,11 @@ def amplitude_triads(plan: BitPlan, layout: RegisterLayout, *, peephole: bool = 
     in |0> at every triad boundary.
     """
     labels = 1 << plan.n
+    # one mark gate per label with a set bit, shared by every bit it marks
+    marks = {
+        j: MCX(layout.system_pattern(j), layout.scratch)
+        for j in np.flatnonzero(plan.amp_bits.any(axis=1)).tolist()
+    }
     triads: list[list[Gate]] = []
     for k in range(plan.m):
         column = plan.amp_bits[:, k]
@@ -140,11 +153,7 @@ def amplitude_triads(plan: BitPlan, layout: RegisterLayout, *, peephole: bool = 
             # every label participates, so the mark is unconditional
             mark: list[Gate] = [MCX((), layout.scratch)]
         else:
-            mark = [
-                MCX(layout.system_pattern(j), layout.scratch)
-                for j in range(labels)
-                if column[j]
-            ]
+            mark = [marks[j] for j in np.flatnonzero(column).tolist()]
         select = MCX(
             (
                 (layout.amp[k], 1),
@@ -163,12 +172,11 @@ def build_amplitude_encoding(plan: BitPlan, layout: RegisterLayout, *, peephole:
 
 def build_phase_encoding(plan: BitPlan, layout: RegisterLayout) -> list[Gate]:
     """One scratch-raising gate per basis label, keyed on its phase word."""
+    words = [tuple(word) for word in plan.phase_bits.tolist()]
+    patterns = {word: layout.phase_pattern(word) for word in dict.fromkeys(words)}
     return [
-        MCX(
-            layout.system_pattern(j) + layout.phase_pattern(plan.phase_bits[j]),
-            layout.scratch,
-        )
-        for j in range(1 << plan.n)
+        MCX(layout.system_pattern(j) + patterns[word], layout.scratch)
+        for j, word in enumerate(words)
     ]
 
 

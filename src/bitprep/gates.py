@@ -35,6 +35,8 @@ class MCX:
     target: int
 
     def __post_init__(self) -> None:
+        if _plain(self.controls, self.target):
+            return
         normalized = tuple((int(q), int(b)) for q, b in self.controls)
         object.__setattr__(self, "controls", normalized)
         seen = set()
@@ -48,11 +50,27 @@ class MCX:
             raise ValueError(f"target {self.target} is also a control")
 
 
+def _plain(controls, target: int) -> bool:
+    """Whether ``controls`` is already a tuple of (int, 0 or 1) tuples on
+    distinct qubits other than ``target``, which MCX keeps as given."""
+    if type(controls) is not tuple:
+        return False
+    seen = set()
+    for pair in controls:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        qubit, polarity = pair
+        if type(qubit) is not int or type(polarity) is not int or polarity not in (0, 1) or qubit in seen:
+            return False
+        seen.add(qubit)
+    return target not in seen
+
+
 Gate = Union[Hadamard, PhaseK, MCX]
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
     """Every qubit the gate touches, controls first."""
     if isinstance(gate, MCX):
-        return tuple(q for q, _ in gate.controls) + (gate.target,)
+        return (*[q for q, _ in gate.controls], gate.target)
     return (gate.target,)

@@ -85,9 +85,8 @@ class RegisterLayout:
         """Control pattern pinning the system register to basis label ``label``."""
         if not 0 <= label < 1 << self.n:
             raise ValueError(f"basis label {label} outside [0, 2**{self.n})")
-        return tuple(
-            (q, (label >> (self.n - 1 - i)) & 1) for i, q in enumerate(self.system)
-        )
+        n = self.n  # system qubit q is bit n - 1 - q of the label
+        return tuple([(q, (label >> (n - 1 - q)) & 1) for q in range(n)])
 
     def phase_pattern(self, bits: Sequence[int]) -> ControlPattern:
         """Control pattern pinning the phase register to a bit word.

@@ -9,8 +9,8 @@ tensor product of its core and its factors, the state's are the sum over
 its blocks, and one addressing rule holds throughout: qubit 0 is the most
 significant bit of a basis index.  In a core, qubit ``axes[i]`` is axis
 i, so fixing some core qubits to bits is a basic slice, and every kernel
-works on such writable views without building index arrays;
-single-qubit gates merge the axes on either side of the target,
+but the MCX run's works on such writable views without building index
+arrays; single-qubit gates merge the axes on either side of the target,
 ``reshape(2**i, 2, -1)``.
 
 ``ground`` starts with one block: an empty core and every qubit a |0>
@@ -30,6 +30,19 @@ stale state.  Two paths read less and leave the layer pending: a split
 whose core controls fix every pending qubit reads its slice as a signed
 sum (see ``_Block.split``), and post-selection and ``probability`` drop
 a block that a basis factor rules out before applying its layer.
+
+An MCX that does not split (see below) is deferred too.  Its block
+merges the controls and the target into the core and records a pending
+run: the control qubits, the target and a set of control-bit tuples,
+in which each gate toggles its own, so a repeated gate cancels.  Later
+gates with the same control qubits and target only toggle: every
+amplitude mark and unwind (an unwind and the next mark fold into one
+run), every phase-stage gate and the terms of each
+``apply_projector_terms`` call.  Any other gate,
+a Hadamard on a core qubit, a split and every read first apply the run
+as one swap over the tuples left (``_Block.swap``), with one index
+array per control axis.  A block never owes a layer and a run at once,
+and ``apply`` still takes one gate per call.
 
 Blocks come from one rule.  An MCX whose target is a basis factor in
 every block, and whose controls are each a core qubit or a factor with
@@ -56,7 +69,7 @@ full-width vector.
 ``amplitudes_at`` reads chosen amplitudes without it, and
 ``max_difference`` compares two states block against block.  A single
 StateVector must only ever be used from one thread, since reads can
-apply the pending layer, but distinct vectors are independent.
+apply a pending layer or run, but distinct vectors are independent.
 """
 
 from __future__ import annotations
@@ -126,6 +139,42 @@ def _signed_sum(tensor: Array, bits: Sequence[tuple[int, int]]) -> Array:
     return np.sum(tensor, axis=zeros, out=np.empty(shape, np.complex128))
 
 
+def _unzip(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first and the second items of (qubit, bit) pairs, as two tuples."""
+    return tuple(zip(*pairs)) or ((), ())
+
+
+def _overlap(patterns: Iterable[dict[int, int]]) -> bool:
+    """Whether two of the (qubit -> bit) ``patterns`` match a common basis
+    state, that is, agree on every qubit both fix.
+
+    Patterns that fix the same qubits overlap exactly when their bit
+    tuples are equal, so each such group is decided by one set.  Two
+    groups overlap exactly when a tuple of one and a tuple of the other,
+    each cut down to the qubits both groups fix, are equal: one set
+    intersection per pair of groups.
+    """
+    groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for pattern in patterns:
+        qubits = tuple(sorted(pattern))
+        bits = tuple(pattern[q] for q in qubits)
+        group = groups.setdefault(qubits, set())
+        if bits in group:
+            return True
+        group.add(bits)
+    keyed = list(groups.items())
+    for i, (qubits, group) in enumerate(keyed):
+        for others, other in keyed[i + 1:]:
+            shared = [q for q in qubits if q in others]
+            cut = [qubits.index(q) for q in shared]
+            other_cut = [others.index(q) for q in shared]
+            if {tuple(bits[k] for k in cut) for bits in group} & {
+                tuple(bits[k] for k in other_cut) for bits in other
+            }:
+                return True
+    return False
+
+
 def _same(factor: Array | None, other: Array) -> bool:
     return factor is other or (factor is not None and np.array_equal(factor, other))
 
@@ -136,10 +185,13 @@ class _Block:
     The core still owes a Hadamard on each core qubit in ``layer``, and
     after that layer, a zero on the slice of each (qubit, bit) pattern in
     ``zeroed``; :meth:`flush` pays both.  ``zeroed`` is empty while
-    ``layer`` is.
+    ``layer`` is.  Or it owes a run of MCX gates, ``run``: (control
+    qubits, target, control-bit tuples), an X on the target wherever the
+    controls spell one of the tuples; :meth:`flush` pays that too.  A
+    block never owes a layer and a run at once.
     """
 
-    __slots__ = ("core", "axes", "factors", "layer", "zeroed")
+    __slots__ = ("core", "axes", "factors", "layer", "zeroed", "run")
 
     def __init__(self, core: Array, axes: tuple[int, ...], factors: dict[int, Array]):
         self.core = core
@@ -147,6 +199,7 @@ class _Block:
         self.factors = factors
         self.layer: frozenset[int] = frozenset()
         self.zeroed: list[dict[int, int]] = []
+        self.run: tuple[tuple[int, ...], int, set[tuple[int, ...]]] | None = None
 
     def copy(self) -> "_Block":
         """A copy of a flushed block."""
@@ -247,12 +300,13 @@ class _Block:
             low, high = factor
             self.factors[target] = np.array([low + high, low - high]) * _SQRT_HALF
             return
-        if self.zeroed:  # the zeroing does not commute with a later Hadamard
+        if self.zeroed or self.run:  # neither commutes with a later Hadamard
             self.flush()
         self.layer ^= {target}
 
     def flush(self) -> None:
-        """Apply the pending layer to the core in place, then the zeroing.
+        """Apply the pending run, or the pending layer and then the zeroing,
+        to the core in place.
 
         The layer's qubits are grouped into runs of at most 4 adjacent
         axes, and each run is one fast Walsh-Hadamard pass: its +-1
@@ -262,6 +316,9 @@ class _Block:
         slab over the larger of the dimensions before and after the run,
         in at most 8 slabs, so its scratch is about an eighth of the core.
         """
+        if self.run:
+            self.swap(*self.run)
+            self.run = None
         if not self.layer:
             return
         runs: list[list[int]] = []  # [first axis, length]
@@ -287,14 +344,46 @@ class _Block:
             return
         self.core.reshape(1 << self.axes.index(target), 2, -1)[:, 1, :] *= rotation
 
-    def swap(self, controls: Sequence[tuple[int, int]], target: int) -> None:
-        """MCX with every control and the target merged into the core."""
-        self.merge((*(q for q, _ in controls), target))
-        low = self.view((*controls, (target, 0)))
-        high = self.view((*controls, (target, 1)))
-        swapped = low.copy()
-        low[...] = high
-        high[...] = swapped
+    def toggle(self, qubits: tuple[int, ...], bits: tuple[int, ...], target: int) -> None:
+        """MCX with controls ``zip(qubits, bits)``, recorded in the pending run.
+
+        A gate with the run's control qubits and target toggles its
+        control bits in the run's set, so a repeated one cancels.  Any
+        other gate first flushes the block, merges its controls and
+        target into the core and starts a new run.
+        """
+        run = self.run
+        if run is None or run[0] != qubits or run[1] != target:
+            self.flush()
+            self.merge((*qubits, target))
+            self.run = run = (qubits, target, set())
+        run[2].symmetric_difference_update((bits,))
+
+    def swap(self, qubits: tuple[int, ...], target: int, patterns: Iterable[tuple[int, ...]]) -> None:
+        """MCX gates with the same core control ``qubits`` and core
+        ``target``, one per control-bit tuple in ``patterns``, each tuple
+        at most once, so the swaps are disjoint: one swap over all of them.
+
+        One tuple indexes the core by integers, a view; several by one
+        index array per control axis, a copy.
+        """
+        patterns = tuple(patterns)
+        if not patterns:
+            return
+        index: list = [slice(None)] * len(self.axes)
+        columns = patterns[0] if len(patterns) == 1 else np.array(patterns).T
+        for qubit, column in zip(qubits, columns):
+            index[self.axes.index(qubit)] = column
+        position = self.axes.index(target)
+        index[position] = 0
+        low = tuple(index)
+        index[position] = 1
+        high = tuple(index)
+        swapped = self.core[low]
+        if len(patterns) == 1:
+            swapped = swapped.copy()
+        self.core[low] = self.core[high]
+        self.core[high] = swapped
 
     def resolved(self, controls: Iterable[tuple[int, int]]) -> list[tuple[int, int]] | None:
         """``controls`` less the factored ones that always match, or None if
@@ -349,7 +438,7 @@ class _Block:
         met = [z for z in self.zeroed if all(fixed.get(q, bit) == bit for q, bit in z.items())]
         if any(z.keys() <= fixed.keys() for z in met):
             return _Block(np.zeros((2,) * len(axes), np.complex128), axes, factors)
-        if met or not self.layer <= fixed.keys():
+        if met or self.run or not self.layer <= fixed.keys():
             self.flush()
         free = [q for q in self.axes if q not in fixed or q in self.layer]
         matched = self.view((q, bit) for q, bit in pattern if q not in self.layer)
@@ -380,17 +469,16 @@ class StateVector:
 
     @property
     def _blocks(self) -> list[_Block]:
-        """The blocks, each with its pending Hadamard layer applied.
+        """The blocks, each with its pending Hadamard layer or MCX run applied.
 
         Every read and write of the blocks goes through here, so none
-        sees a stale state, except :meth:`_hadamard`, the split in
-        :meth:`_mcx`, :meth:`probability` and :meth:`postselect`: they
-        reach a core only through ``_Block`` methods that apply its
-        layer as they need.
+        sees a stale state, except :meth:`_hadamard`, :meth:`_mcx`,
+        :meth:`probability` and :meth:`postselect`: they reach a core
+        only through ``_Block`` methods that apply what it owes as they
+        need.
         """
         for block in self._stored:
-            if block.layer:
-                block.flush()
+            block.flush()
         return self._stored
 
     # ------------------------------------------------------------------
@@ -542,12 +630,12 @@ class StateVector:
         A Hadamard on a core qubit takes effect at the next read of the
         state, together with any others pending.
         """
-        if isinstance(gate, Hadamard):
+        if isinstance(gate, MCX):
+            self._mcx(gate.controls, gate.target)
+        elif isinstance(gate, Hadamard):
             self._hadamard(gate.target)
         elif isinstance(gate, PhaseK):
             self._phase(gate.target, gate.k)
-        elif isinstance(gate, MCX):
-            self._mcx(gate.controls, gate.target)
         else:
             raise TypeError(f"not a gate: {gate!r}")
         return self
@@ -562,7 +650,9 @@ class StateVector:
         pass through unchanged (the identity complement is implicit).
         Patterns must be pairwise orthogonal: every pair has to disagree
         on at least one shared qubit.  An unconditional term (empty
-        pattern) is allowed only on its own.
+        pattern) is allowed only on its own.  The check is linear in the
+        term count when the terms fix few distinct qubit sets (see
+        ``_overlap``).
 
         This is the gate-free path used to cross-check compiled circuits.
         """
@@ -580,15 +670,11 @@ class StateVector:
                     raise ValueError(f"duplicate target qubit {qubit}")
             cleaned.append((required, flipped))
 
-        for i in range(len(cleaned)):
-            for j in range(i + 1, len(cleaned)):
-                a, b = cleaned[i][0], cleaned[j][0]
-                if not any(q in b and b[q] != bit for q, bit in a.items()):
-                    raise ValueError(
-                        "projector patterns overlap; terms must be mutually orthogonal"
-                    )
+        if _overlap(required for required, _ in cleaned):
+            raise ValueError("projector patterns overlap; terms must be mutually orthogonal")
 
-        # targets commute and sit outside the pattern: one swap each
+        # targets commute and sit outside the pattern: one MCX each, and
+        # terms on the same qubits and target join one pending run
         for required, flipped in cleaned:
             for qubit in flipped:
                 self._mcx(tuple(required.items()), qubit)
@@ -738,7 +824,7 @@ class StateVector:
                 raise ValueError(f"pattern bit for qubit {qubit} must be 0 or 1")
             if qubit in fixed:
                 raise ValueError(f"qubit {qubit} appears twice in pattern")
-            fixed[qubit] = bit
+            fixed[qubit] = int(bit)  # a bool would index numpy as a mask
         return fixed
 
     def _joined(self) -> _Block:
@@ -777,22 +863,24 @@ class StateVector:
             block.phase(target, rotation)
 
     def _mcx(self, controls: tuple[tuple[int, int], ...], target: int) -> None:
-        qubits = (*(q for q, _ in controls), target)
-        for qubit in qubits:
-            self._check_qubit(qubit)
+        qubits, bits = _unzip(controls)
+        touched = (*qubits, target)
+        if min(touched) < 0 or max(touched) >= self.layout.total:
+            for qubit in touched:
+                self._check_qubit(qubit)
         if target in self._keys:
             self._join()
         blocks = self._stored
         if len(blocks) == 1:
             factor = blocks[0].factors.get(target)
             if factor is not _ZERO and factor is not _ONE:
-                self._blocks[0].swap(controls, target)
+                blocks[0].toggle(qubits, bits, target)
                 return
         if not all(block.splits(controls, target) for block in blocks):
-            for block in self._blocks:
+            for block in blocks:
                 pattern = block.resolved(controls)
                 if pattern is not None:
-                    block.swap(pattern, target)
+                    block.toggle(*_unzip(pattern), target)
             return
         for block in tuple(blocks):
             new = block.split(controls, target)

@@ -298,6 +298,31 @@ def test_plain_simulate_transforms_no_core(plan, passes, monkeypatch):
         assert abs(run.probability - naive_success_probability(plan)) < 1e-12
 
 
+def test_plain_simulate_swaps_once_per_run(monkeypatch):
+    # each run of same-target MCX gates is one swap: a mark, its select,
+    # its unwind folded into the next mark, and the whole phase stage over
+    # its 2**n patterns; ``apply`` still sees every gate once
+    rng = np.random.default_rng(94)
+    plan = BitPlan(9, 4, rng.integers(0, 2, size=(512, 4)), rng.integers(0, 2, size=(512, 4)))
+    circuit = compile_circuit(plan)
+    layout = circuit.layout
+    swaps, applied = [], []
+    swap, apply = statevector._Block.swap, StateVector.apply
+    monkeypatch.setattr(
+        statevector._Block, "swap",
+        lambda block, qubits, target, patterns: swaps.append((qubits, target, len(patterns)))
+        or swap(block, qubits, target, patterns),
+    )
+    monkeypatch.setattr(StateVector, "apply", lambda state, gate: applied.append(gate) or apply(state, gate))
+    run = simulate(circuit)
+    assert applied == list(circuit.gates)
+    phase = (*layout.system, *layout.phase)
+    assert [s for s in swaps if s[0] == phase] == [(phase, layout.scratch, 1 << plan.n)]
+    assert [s[:2] for s in swaps].count((layout.system, layout.scratch)) == plan.m + 1
+    assert len(swaps) == 2 * plan.m + 2
+    assert abs(run.probability - naive_success_probability(plan)) < 1e-12
+
+
 @WIDE_PLANS
 def test_collapse_stage_allocates_under_a_quarter_core(plan):
     # the collapse stage's Hadamards wait as one layer; a plain run reads

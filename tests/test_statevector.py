@@ -304,6 +304,17 @@ def test_projector_multi_target_matches_index_permutation(seed):
     assert np.array_equal(state.amplitudes, expected)
 
 
+def test_pattern_bits_may_be_bools():
+    # a bool bit means 0 or 1, never a numpy mask
+    state = StateVector.ground(SMALL).apply(Hadamard(0)).apply(Hadamard(1))
+    flagged = state.copy().apply_projector_terms([(((0, True),), (2,))])
+    plain = state.copy().apply_projector_terms([(((0, 1),), (2,))])
+    assert np.array_equal(flagged.amplitudes, plain.amplitudes)
+    assert state.probability([(0, np.True_), (1, False)]) == state.probability([(0, 1), (1, 0)])
+    kept, _ = state.postselect([(0, True)])
+    assert np.array_equal(kept.amplitudes, state.postselect([(0, 1)])[0].amplitudes)
+
+
 def test_projector_rejects_identical_patterns():
     state = StateVector.ground(SMALL)
     with pytest.raises(ValueError):
@@ -327,6 +338,79 @@ def test_projector_rejects_target_inside_own_pattern():
     state = StateVector.ground(SMALL)
     with pytest.raises(ValueError):
         state.apply_projector_terms([(((0, 1), (1, 0)), (1,))])
+
+
+OVERLAP_COVERAGE = set()  # outcomes and term-set shapes met by every example
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def check_overlap_against_pairwise_reference(data):
+    # patterns on a few qubit sets, each later one maybe a copy of an
+    # earlier one: a duplicate, one with a qubit dropped or added, or a near
+    # miss with one bit flipped and maybe another qubit dropped or added
+    total = SMALL.total
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sets = [rng.choice(total, size=int(rng.integers(0, 4)), replace=False) for _ in range(3)]
+    patterns, moves = [], set()
+    for _ in range(data.draw(st.integers(1, 6))):
+        move = str(rng.choice(["fresh", "duplicate", "near miss", "drop", "add"])) if patterns else "fresh"
+        if move == "fresh":
+            pattern = {int(q): int(rng.integers(2)) for q in sets[int(rng.integers(3))]}
+        else:
+            pattern = dict(patterns[int(rng.integers(len(patterns)))])
+            kept = list(pattern)
+            if move == "near miss" and kept:
+                moves.add(move)
+                pattern[kept.pop(int(rng.integers(len(kept))))] ^= 1
+                move = str(rng.choice(["", "drop", "add"]))
+            if move == "drop" and kept:
+                del pattern[kept[int(rng.integers(len(kept)))]]
+            elif move == "add" and len(pattern) < total:
+                pattern[int(rng.choice([q for q in range(total) if q not in pattern]))] = int(rng.integers(2))
+        patterns.append(pattern)
+    terms = []
+    for pattern in patterns:
+        items = list(pattern.items())
+        rng.shuffle(items)  # the check must not depend on the order of a pattern
+        terms.append((tuple(items), ()))
+    expected = util.pairwise_overlap(patterns)
+    state = StateVector.ground(SMALL)
+    if expected:
+        with pytest.raises(ValueError, match="overlap"):
+            state.apply_projector_terms(terms)
+    else:
+        state.apply_projector_terms(terms)
+    keyed = {frozenset(pattern.items()) for pattern in patterns}
+    sets = {frozenset(pattern) for pattern in patterns}
+    if not expected:
+        OVERLAP_COVERAGE.add("accepted")
+        if len(sets) > 1:
+            OVERLAP_COVERAGE.add("accepted over several qubit sets")
+        if "near miss" in moves:
+            OVERLAP_COVERAGE.add("near miss accepted")
+    elif len(keyed) < len(patterns):
+        OVERLAP_COVERAGE.add("duplicate")
+    else:  # distinct patterns on one qubit set never overlap
+        OVERLAP_COVERAGE.add("overlap across qubit sets")
+    if patterns == [{}]:
+        OVERLAP_COVERAGE.add("empty pattern alone")
+    elif {} in patterns:
+        OVERLAP_COVERAGE.add("empty pattern next to others")
+
+
+def test_overlap_check_matches_pairwise_reference():
+    OVERLAP_COVERAGE.clear()
+    check_overlap_against_pairwise_reference()
+    assert OVERLAP_COVERAGE >= {
+        "accepted",
+        "accepted over several qubit sets",
+        "near miss accepted",
+        "duplicate",
+        "overlap across qubit sets",
+        "empty pattern alone",
+        "empty pattern next to others",
+    }
 
 
 # ----------------------------------------------------------------------
@@ -1213,6 +1297,189 @@ def test_hadamard_layer_matches_dense_reference():
         "first and last axis",
         *READERS,
         *((case, reader) for case in SPLIT_CASES for reader in READERS),
+    }
+
+
+# ----------------------------------------------------------------------
+# deferred MCX runs
+
+
+RUN_READERS = ("amplitudes", "amplitudes_at", "probability", "postselect", "copy",
+               "max_difference", "extract")
+RUN_BREAKS = ("Hadamard on a run qubit", "Hadamard on another qubit", "phase",
+              "other target", "other controls", "split")
+# run features, breaks, readers and (reader, compared exactly) met by every example
+RUN_COVERAGE = set()
+
+
+def core_everywhere(state):
+    """Keys and qubits in the core of every block: a Hadamard or phase
+    gate on one leaves every factor a basis ket."""
+    return [
+        q for q in range(state.layout.total)
+        if q in state._keys or all(q in block.axes for block in state._stored)
+    ]
+
+
+def run_patterns(rng, width, count):
+    """``count`` control-bit tuples of ``width`` bits; about one in three
+    repeats an earlier one."""
+    patterns = []
+    for _ in range(count):
+        if patterns and rng.integers(3) == 0:
+            patterns.append(patterns[int(rng.integers(len(patterns)))])
+        else:
+            patterns.append(tuple(int(b) for b in rng.integers(2, size=width)))
+    return patterns
+
+
+def run_break(kind, rng, state, qubits, target):
+    """A gate of kind ``kind`` that ends the run onto ``target`` controlled by
+    ``qubits``, or None if the state offers none."""
+    core = core_everywhere(state)
+    others = [q for q in core if q != target and q not in qubits]
+    if kind == "Hadamard on a run qubit":
+        return Hadamard(target)
+    if kind == "Hadamard on another qubit":
+        return Hadamard(int(rng.choice(others))) if others else None
+    if kind == "phase":
+        return PhaseK(int(rng.choice(core)), int(rng.integers(1, 7)))
+    if kind == "other target":
+        if not others:
+            return None
+        return MCX(tuple(zip(qubits, run_patterns(rng, len(qubits), 1)[0])), int(rng.choice(others)))
+    if kind == "other controls":
+        spare = [q for q in range(state.layout.total) if q != target and q not in qubits]
+        changed = list(qubits[1:]) if qubits and rng.integers(2) else [*qubits, int(rng.choice(spare))]
+        return MCX(tuple(zip(changed, run_patterns(rng, len(changed), 1)[0])), target)
+    targets = spare_targets(state)
+    controls = [q for q in state._stored[0].axes if q != target][:2]
+    if not targets or not controls:
+        return None
+    gate = MCX(tuple(zip(controls, run_patterns(rng, len(controls), 1)[0])), targets[0])
+    return gate if all(block.splits(gate.controls, gate.target) for block in state._stored) else None
+
+
+def assert_equal(actual, expected, exact):
+    if exact:
+        assert np.array_equal(actual, expected)
+    else:
+        assert np.max(np.abs(actual - expected)) < 1e-12
+
+
+def read_run(reader, rng, state, reference, exact, twin):
+    """Check ``reader`` on a state that may still owe a run, with
+    ``reference`` its amplitudes, exactly or to 1e-12; ``twin`` went through
+    the same gates.  Returns the state and reference after it."""
+    layout = state.layout
+    total = layout.total
+    if reader == "amplitudes":
+        assert_equal(state.amplitudes, reference, exact)
+    elif reader == "amplitudes_at":
+        indices = rng.integers(0, 1 << total, size=16)
+        assert_equal(state.amplitudes_at(indices), reference[indices], exact)
+    elif reader in ("probability", "postselect"):
+        qubits = rng.choice(total, size=int(rng.integers(1, 3)), replace=False)
+        pattern = pattern_of(rng, qubits)
+        mask = np.logical_and.reduce([basis_mask(layout, q, bit) for q, bit in pattern])
+        weight = float(np.sum(np.abs(reference[mask]) ** 2))
+        if reader == "probability":
+            assert abs(state.probability(pattern) - weight) < 1e-12
+        elif weight >= 1e-2 and len(state._stored[0].axes) > 4:  # keep a core to run on
+            source = state
+            state, probability = source.postselect(pattern)
+            assert abs(probability - weight) < 1e-12
+            assert_equal(source.amplitudes, reference, exact)
+            return state, np.where(mask, reference, 0.0) / np.sqrt(weight), False
+    elif reader == "copy":
+        # the copy owes nothing, and a gate on it leaves the state alone
+        duplicate = state.copy()
+        assert_equal(duplicate.amplitudes, reference, exact)
+        duplicate.apply(MCX((), int(rng.integers(total))))
+    elif reader == "max_difference":
+        # against a state owing the same run, and against the dense reference
+        dense = StateVector.from_amplitudes(layout, reference)
+        assert state.max_difference(twin) == 0.0
+        for difference in (state.max_difference(dense), dense.max_difference(state)):
+            assert difference == 0.0 if exact else difference < 1e-12
+    else:
+        picked = [int(q) for q in rng.permutation(total)[: int(rng.integers(1, total + 1))]]
+        residual, top = util.gram_top_eigenpair(StateVector.from_amplitudes(layout, reference), picked)
+        if residual > 1e-8:
+            with pytest.raises(EntanglementError):
+                state.extract(picked)
+        elif residual < 1e-12:
+            assert abs(np.vdot(top, state.extract(picked))) ** 2 >= 1.0 - 1e-12
+    return state, reference, exact
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def check_runs_against_reference(data):
+    layout = data.draw(st.sampled_from([RegisterLayout(1, 1), RegisterLayout(2, 1)]))
+    total = layout.total
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # a dense state with two qubits post-selected into basis factors, so
+    # that an MCX onto one of them splits
+    state = random_state(rng, layout)
+    for qubit in rng.choice(total, size=2, replace=False):
+        state, _ = state.postselect([(int(qubit), int(rng.integers(2)))])
+    for _ in range(data.draw(st.integers(2, 6))):
+        # a step starts from a state that owes nothing: maybe Hadamards, a
+        # run of MCX gates, maybe a gate that breaks it, the rest of the run
+        # and a reader
+        reference, start = state.amplitudes.copy(), state.copy()
+        core = core_everywhere(state)
+        target = int(rng.choice(core))
+        qubits = [int(q) for q in rng.permutation([q for q in range(total) if q != target])]
+        qubits = qubits[: int(rng.integers(0, 4))]
+        patterns = run_patterns(rng, len(qubits), int(rng.integers(2, 7)))
+        cut = int(rng.integers(1, len(patterns)))
+        kind = data.draw(st.sampled_from((*RUN_BREAKS, None)))
+        features = {"plain X"} if not qubits else set()
+        if len(state._stored) > 1:
+            features.add("several blocks")
+        gates = []
+        if rng.integers(3) == 0:
+            gates = [Hadamard(int(q)) for q in rng.choice(core, size=min(len(core), 2), replace=False)]
+            util.apply_all(state, gates)
+        if any(block.layer for block in state._stored):
+            features.add("starts with a pending layer")
+        segments = [patterns]
+        for i, bits in enumerate(patterns):
+            broken = run_break(kind, rng, state, qubits, target) if i == cut and kind else None
+            if broken is not None:
+                features.add(kind)
+                segments = [patterns[:cut], patterns[cut:]]
+                gates.append(broken)
+                state.apply(broken)
+            gates.append(MCX(tuple(zip(qubits, bits)), target))
+            state.apply(gates[-1])
+        if any(segment.count(bits) % 2 == 0 for segment in segments for bits in segment):
+            features.add("cancel")
+        for gate in gates:
+            reference = reference_apply(total, gate, reference)
+        # exact unless a Hadamard ran: the other gates here move amplitudes
+        # or multiply them by a phase, just as reference_apply does
+        exact = not any(isinstance(gate, Hadamard) for gate in gates)
+        reader = data.draw(st.sampled_from(RUN_READERS))
+        twin = util.apply_all(start, gates)
+        state, reference, exact = read_run(reader, rng, state, reference, exact, twin)
+        assert_equal(state.amplitudes, reference, exact)
+        RUN_COVERAGE.update((*features, reader, (reader, exact)))
+
+
+def test_runs_match_reference():
+    RUN_COVERAGE.clear()
+    check_runs_against_reference()
+    assert RUN_COVERAGE >= {
+        "plain X",
+        "several blocks",
+        "starts with a pending layer",
+        "cancel",
+        *RUN_BREAKS,
+        *RUN_READERS,
+        *((reader, True) for reader in ("amplitudes", "amplitudes_at", "copy", "max_difference")),
     }
 
 

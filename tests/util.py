@@ -141,3 +141,16 @@ def gram_top_eigenpair(state, picked):
     gram = matrix @ matrix.conj().T
     evals, evecs = np.linalg.eigh(gram)
     return 1.0 - evals[-1] / np.trace(gram).real, evecs[:, -1]
+
+
+def pairwise_overlap(patterns) -> bool:
+    """Reference for the projector path's orthogonality check: whether
+    two of the (qubit -> bit) ``patterns`` agree on every qubit both fix,
+    comparing every pair."""
+    patterns = list(patterns)
+    for i in range(len(patterns)):
+        for j in range(i + 1, len(patterns)):
+            a, b = patterns[i], patterns[j]
+            if not any(q in b and b[q] != bit for q, bit in a.items()):
+                return True
+    return False
