@@ -31,8 +31,8 @@ import numpy as np
 
 from .bitplan import BitPlan
 from .errors import CircuitFormatError
-from .gates import MCX, Gate, Hadamard, PhaseK, gate_qubits
-from .layout import RegisterLayout
+from .gates import MCX, Gate, Hadamard, PhaseK
+from .layout import Pattern, RegisterLayout, control_pattern
 from .statevector import StateVector
 
 STAGE_NAMES = ("superpose", "amplitude", "phase", "collapse", "label")
@@ -55,8 +55,8 @@ class Measurement:
             raise ValueError("measurement control and measured qubit must differ")
 
     @property
-    def pattern(self) -> tuple[tuple[int, int], ...]:
-        return ((self.control, 1), (self.measured, 1))
+    def pattern(self) -> Pattern:
+        return control_pattern(((self.control, 1), (self.measured, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +83,11 @@ class Circuit:
             raise ValueError(f"stages cover {cursor} gates of {len(self.gates)}")
         total = self.layout.total
         for gate in self.gates:
-            qubits = gate_qubits(gate)
-            if min(qubits) < 0 or max(qubits) >= total:
-                qubit = next(q for q in qubits if not 0 <= q < total)
+            if not isinstance(gate, Gate):
+                raise TypeError(f"not a gate: {gate!r}")
+            mask = gate.mask if isinstance(gate, MCX) else 0
+            if not 0 <= gate.target < total or mask >> total:
+                qubit = gate.target if not 0 <= gate.target < total else mask.bit_length() - 1
                 raise ValueError(f"gate {gate!r} touches qubit {qubit} outside layout")
         for qubit in (self.terminal.control, self.terminal.measured):
             if not 0 <= qubit < total:
@@ -97,27 +99,31 @@ class Circuit:
         lines = [_FORMAT_MAGIC, f"n {self.layout.n}", f"m {self.layout.m}"]
         for name, first, last in self.layout.register_table():
             lines.append(f"reg {name} {first} {last}")
-        # each control's "+q " or "-q " token, shared by every MCX line
-        tokens = {(q, bit): f"{'+' if bit else '-'}{q} " for q in range(self.layout.total) for bit in (0, 1)}
+        # each qubit's "-q " and "+q " control tokens, shared by every MCX line
+        tokens = [(f"-{q} ", f"+{q} ") for q in range(self.layout.total)]
+        qubits: dict[int, list[int]] = {}  # the control qubits of each MCX mask
         formatted: dict[int, str] = {}
         for name, start, stop in self.stages:
             lines.append(f"stage {name}")
             for gate in self.gates[start:stop]:
                 line = formatted.get(id(gate))
                 if line is None:
-                    line = formatted[id(gate)] = _gate_line(gate, tokens)
+                    line = formatted[id(gate)] = _gate_line(gate, tokens, qubits)
                 lines.append(line)
         lines.append(f"CMEAS {self.terminal.control} {self.terminal.measured}")
         return "\n".join(lines) + "\n"
 
 
-def _gate_line(gate: Gate, tokens: dict[tuple[int, int], str]) -> str:
+def _gate_line(gate: Gate, tokens: list[tuple[str, str]], qubits: dict[int, list[int]]) -> str:
     if isinstance(gate, Hadamard):
         return f"H {gate.target}"
     if isinstance(gate, PhaseK):
         return f"P {gate.k} {gate.target}"
     if isinstance(gate, MCX):
-        return f"MCX {''.join(map(tokens.__getitem__, gate.controls))}{gate.target}"
+        mask, bits = gate.mask, gate.bits
+        if mask not in qubits:
+            qubits[mask] = [q for q in range(mask.bit_length()) if mask >> q & 1]
+        return f"MCX {''.join([tokens[q][bits >> q & 1] for q in qubits[mask]])}{gate.target}"
     raise TypeError(f"not a gate: {gate!r}")
 
 
@@ -174,10 +180,11 @@ def build_phase_encoding(plan: BitPlan, layout: RegisterLayout) -> list[Gate]:
     """One scratch-raising gate per basis label, keyed on its phase word."""
     words = [tuple(word) for word in plan.phase_bits.tolist()]
     patterns = {word: layout.phase_pattern(word) for word in dict.fromkeys(words)}
-    return [
-        MCX(layout.system_pattern(j) + patterns[word], layout.scratch)
-        for j, word in enumerate(words)
-    ]
+    gates: list[Gate] = []
+    for j, word in enumerate(words):
+        system, phase = layout.system_pattern(j), patterns[word]
+        gates.append(MCX(Pattern(system.mask | phase.mask, system.bits | phase.bits), layout.scratch))
+    return gates
 
 
 def build_basis_collapse(layout: RegisterLayout) -> list[Gate]:
@@ -342,10 +349,10 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise CircuitFormatError(f"line {lineno}: expected integer, got {token!r}") from None
+    """A token of ASCII digits only: no sign, no underscore."""
+    if not (token.isascii() and token.isdigit()):
+        raise CircuitFormatError(f"line {lineno}: expected integer, got {token!r}")
+    return int(token)
 
 
 def _parse_gate(tokens: list[str], lineno: int) -> Gate:

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
+
+from .layout import Pattern, control_pattern
 
 
 @dataclass(frozen=True)
 class Hadamard:
     target: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "target", operator.index(self.target))
 
 
 @dataclass(frozen=True)
@@ -19,58 +25,46 @@ class PhaseK:
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "target", operator.index(self.target))
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.k < 1:
             raise ValueError(f"phase exponent must be >= 1, got k={self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MCX:
     """X on ``target`` where every control qubit matches its polarity.
 
-    Controls are (qubit, polarity) pairs; polarity 1 requires |1>, 0
-    requires |0>.  With no controls the gate acts as a plain X.
+    Controls are (qubit, polarity) pairs in any order, or a ``Pattern``;
+    polarity 1 requires |1>, 0 requires |0>.  The gate holds them as the
+    pattern's ``mask`` and ``bits``, so control order plays no part.  With
+    no controls the gate acts as a plain X.
     """
 
-    controls: tuple[tuple[int, int], ...]
+    mask: int
+    bits: int
     target: int
 
-    def __post_init__(self) -> None:
-        if _plain(self.controls, self.target):
-            return
-        normalized = tuple((int(q), int(b)) for q, b in self.controls)
-        object.__setattr__(self, "controls", normalized)
-        seen = set()
-        for qubit, polarity in normalized:
-            if polarity not in (0, 1):
-                raise ValueError(f"control polarity must be 0 or 1, got {polarity}")
-            if qubit in seen:
-                raise ValueError(f"duplicate control qubit {qubit}")
-            seen.add(qubit)
-        if self.target in seen:
-            raise ValueError(f"target {self.target} is also a control")
+    def __init__(self, controls: Pattern | Iterable[tuple[int, int]], target: int) -> None:
+        mask, bits = control_pattern(controls)
+        target = operator.index(target)
+        if target >= 0 and mask >> target & 1:
+            raise ValueError(f"target {target} is also a control")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "target", target)
 
-
-def _plain(controls, target: int) -> bool:
-    """Whether ``controls`` is already a tuple of (int, 0 or 1) tuples on
-    distinct qubits other than ``target``, which MCX keeps as given."""
-    if type(controls) is not tuple:
-        return False
-    seen = set()
-    for pair in controls:
-        if type(pair) is not tuple or len(pair) != 2:
-            return False
-        qubit, polarity = pair
-        if type(qubit) is not int or type(polarity) is not int or polarity not in (0, 1) or qubit in seen:
-            return False
-        seen.add(qubit)
-    return target not in seen
+    @property
+    def controls(self) -> tuple[tuple[int, int], ...]:
+        """The (qubit, polarity) pairs, in ascending qubit order."""
+        return Pattern(self.mask, self.bits).pairs
 
 
 Gate = Union[Hadamard, PhaseK, MCX]
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
-    """Every qubit the gate touches, controls first."""
+    """Every qubit the gate touches, controls first in ascending order."""
     if isinstance(gate, MCX):
         return (*[q for q, _ in gate.controls], gate.target)
     return (gate.target,)

@@ -4,14 +4,59 @@ Basis states are indexed so that qubit 0 is the most significant bit:
 over t qubits, basis index b assigns qubit q the bit (b >> (t-1-q)) & 1.
 Every other module routes its bit arithmetic through this table instead
 of hand-rolling shifts.
+
+A control pattern pins some qubits to bits.  It is a :class:`Pattern`,
+two ints in which bit q stands for qubit q, built and checked in one
+place, :func:`control_pattern`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-ControlPattern = tuple[tuple[int, int], ...]
+import numpy as np
+
+
+class Pattern(NamedTuple):
+    """Bit q of ``mask`` is set where qubit q is fixed, to bit q of ``bits``."""
+
+    mask: int
+    bits: int
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (qubit, bit) pairs, in ascending qubit order."""
+        mask, bits = self
+        return tuple([(q, bits >> q & 1) for q in range(mask.bit_length()) if mask >> q & 1])
+
+
+def control_pattern(controls: Pattern | Iterable[tuple[int, int]], width: int | None = None) -> Pattern:
+    """The checked :class:`Pattern` of (qubit, bit) ``controls``, or of a
+    :class:`Pattern`; with ``width``, every qubit must lie below it.  A
+    qubit or bit that is not an integer (a bit may be a bool) raises
+    TypeError, and every other defect ValueError."""
+    if type(controls) is Pattern:
+        mask, bits = controls
+        if mask < 0 or bits & ~mask:
+            raise ValueError(f"{controls!r} fixes bits outside its mask")
+    else:
+        mask = bits = 0
+        for qubit, bit in controls:
+            qubit = operator.index(qubit)
+            # numpy's bool is no index; a float is never truncated
+            bit = int(bit) if isinstance(bit, np.bool_) else operator.index(bit)
+            if qubit < 0 or bit not in (0, 1):
+                raise ValueError(f"pattern pair ({qubit}, {bit}) needs a qubit >= 0 and a bit 0 or 1")
+            if mask & 1 << qubit:
+                raise ValueError(f"qubit {qubit} appears twice in pattern")
+            mask |= 1 << qubit
+            bits |= bit << qubit
+        controls = Pattern(mask, bits)
+    if width is not None and mask >> width:
+        raise ValueError(f"qubit {mask.bit_length() - 1} outside register of {width} qubits")
+    return controls
 
 
 @dataclass(frozen=True)
@@ -81,14 +126,14 @@ class RegisterLayout:
             raise ValueError(f"qubit {qubit} outside register of {self.total} qubits")
         return self.total - 1 - qubit
 
-    def system_pattern(self, label: int) -> ControlPattern:
+    def system_pattern(self, label: int) -> Pattern:
         """Control pattern pinning the system register to basis label ``label``."""
         if not 0 <= label < 1 << self.n:
             raise ValueError(f"basis label {label} outside [0, 2**{self.n})")
-        n = self.n  # system qubit q is bit n - 1 - q of the label
-        return tuple([(q, (label >> (n - 1 - q)) & 1) for q in range(n)])
+        # system qubit q holds bit n - 1 - q of the label: its n-bit reversal
+        return Pattern((1 << self.n) - 1, int(f"{label:0{self.n}b}"[::-1], 2))
 
-    def phase_pattern(self, bits: Sequence[int]) -> ControlPattern:
+    def phase_pattern(self, bits: Sequence[int]) -> Pattern:
         """Control pattern pinning the phase register to a bit word.
 
         ``bits[i]`` is the required value of ``phase[i]`` (the qubit that
@@ -96,10 +141,7 @@ class RegisterLayout:
         """
         if len(bits) != self.m:
             raise ValueError(f"phase word needs {self.m} bits, got {len(bits)}")
-        word = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in word):
-            raise ValueError(f"phase word must be 0/1 bits, got {bits!r}")
-        return tuple(zip(self.phase, word))
+        return control_pattern(zip(self.phase, bits))
 
     def register_table(self) -> tuple[tuple[str, int, int], ...]:
         """Named (first, last) qubit ranges, in global order."""

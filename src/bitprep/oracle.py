@@ -28,7 +28,7 @@ import numpy as np
 
 from .bitplan import BitPlan
 from .gates import Hadamard
-from .layout import RegisterLayout
+from .layout import Pattern, RegisterLayout
 from .statevector import StateVector
 
 Array = np.ndarray
@@ -174,15 +174,11 @@ def run_projector_path(plan: BitPlan) -> Iterator[StateVector]:
     yield state
 
     # phase stage: one orthogonal sum over all basis labels
-    state.apply_projector_terms(
-        [
-            (
-                layout.system_pattern(j) + layout.phase_pattern(plan.phase_bits[j]),
-                (layout.scratch,),
-            )
-            for j in range(labels)
-        ]
-    )
+    terms = []
+    for j in range(labels):
+        system, phase = layout.system_pattern(j), layout.phase_pattern(plan.phase_bits[j])
+        terms.append((Pattern(system.mask | phase.mask, system.bits | phase.bits), (layout.scratch,)))
+    state.apply_projector_terms(terms)
     yield state
 
     # collapse stage: plain Hadamard layer on both work registers

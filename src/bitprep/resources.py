@@ -20,7 +20,7 @@ COST_MODEL = "single-qubit gates cost 1; MCX with c controls costs max(1, 2c - 1
 
 def gate_cost(gate: Gate) -> int:
     if isinstance(gate, MCX):
-        return max(1, 2 * len(gate.controls) - 1)
+        return max(1, 2 * gate.mask.bit_count() - 1)
     return 1
 
 
@@ -103,7 +103,7 @@ def analyze(circuit: Circuit, plan: BitPlan) -> ResourceReport:
                 hadamard += 1
             elif isinstance(gate, PhaseK):
                 phase += 1
-            elif not gate.controls:
+            elif not gate.mask:
                 x += 1
             else:
                 mcx += 1

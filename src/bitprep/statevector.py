@@ -31,18 +31,18 @@ whose core controls fix every pending qubit reads its slice as a signed
 sum (see ``_Block.split``), and post-selection and ``probability`` drop
 a block that a basis factor rules out before applying its layer.
 
-An MCX that does not split (see below) is deferred too.  Its block
-merges the controls and the target into the core and records a pending
-run: the control qubits, the target and a set of control-bit tuples,
-in which each gate toggles its own, so a repeated gate cancels.  Later
-gates with the same control qubits and target only toggle: every
+A control pattern is a (mask, bits) pair of ints, bit q for qubit q (see
+``layout.Pattern``).  An MCX that does not split (see below) is deferred
+too.  Its block merges the controls and the target into the core and
+records a pending run: the control mask, the target and a set of
+control bits, in which each gate toggles its own, so a repeated gate
+cancels.  Later gates with the same mask and target only toggle: every
 amplitude mark and unwind (an unwind and the next mark fold into one
 run), every phase-stage gate and the terms of each
-``apply_projector_terms`` call.  Any other gate,
-a Hadamard on a core qubit, a split and every read first apply the run
-as one swap over the tuples left (``_Block.swap``), with one index
-array per control axis.  A block never owes a layer and a run at once,
-and ``apply`` still takes one gate per call.
+``apply_projector_terms`` call.  Any other gate, a Hadamard on a core
+qubit, a split and every read first apply the run as one swap over the
+bits left (``_Block.swap``).  A block never owes a layer and a run at
+once, and ``apply`` still takes one gate per call.
 
 Blocks come from one rule.  An MCX whose target is a basis factor in
 every block, and whose controls are each a core qubit or a factor with
@@ -82,7 +82,7 @@ import numpy as np
 
 from .errors import CapacityError, EntanglementError
 from .gates import MCX, Gate, Hadamard, PhaseK
-from .layout import RegisterLayout
+from .layout import Pattern, RegisterLayout, control_pattern
 
 Array = np.ndarray
 
@@ -139,38 +139,27 @@ def _signed_sum(tensor: Array, bits: Sequence[tuple[int, int]]) -> Array:
     return np.sum(tensor, axis=zeros, out=np.empty(shape, np.complex128))
 
 
-def _unzip(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first and the second items of (qubit, bit) pairs, as two tuples."""
-    return tuple(zip(*pairs)) or ((), ())
+def _overlap(patterns: Iterable[Pattern]) -> bool:
+    """Whether two of the ``patterns`` match a common basis state, that
+    is, agree on every qubit both fix.
 
-
-def _overlap(patterns: Iterable[dict[int, int]]) -> bool:
-    """Whether two of the (qubit -> bit) ``patterns`` match a common basis
-    state, that is, agree on every qubit both fix.
-
-    Patterns that fix the same qubits overlap exactly when their bit
-    tuples are equal, so each such group is decided by one set.  Two
-    groups overlap exactly when a tuple of one and a tuple of the other,
-    each cut down to the qubits both groups fix, are equal: one set
-    intersection per pair of groups.
+    Patterns with the same mask overlap exactly when their bits are
+    equal, so each such group is decided by one set.  Two groups overlap
+    exactly when bits of one and bits of the other, each cut down to the
+    qubits both masks fix, are equal: one set intersection per pair of
+    groups.
     """
-    groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for pattern in patterns:
-        qubits = tuple(sorted(pattern))
-        bits = tuple(pattern[q] for q in qubits)
-        group = groups.setdefault(qubits, set())
+    groups: dict[int, set[int]] = {}
+    for mask, bits in patterns:
+        group = groups.setdefault(mask, set())
         if bits in group:
             return True
         group.add(bits)
     keyed = list(groups.items())
-    for i, (qubits, group) in enumerate(keyed):
-        for others, other in keyed[i + 1:]:
-            shared = [q for q in qubits if q in others]
-            cut = [qubits.index(q) for q in shared]
-            other_cut = [others.index(q) for q in shared]
-            if {tuple(bits[k] for k in cut) for bits in group} & {
-                tuple(bits[k] for k in other_cut) for bits in other
-            }:
+    for i, (mask, group) in enumerate(keyed):
+        for other_mask, other in keyed[i + 1:]:
+            shared = mask & other_mask
+            if {bits & shared for bits in group} & {bits & shared for bits in other}:
                 return True
     return False
 
@@ -183,12 +172,12 @@ class _Block:
     """One term of a state: a dense core over ``axes`` times exact factors.
 
     The core still owes a Hadamard on each core qubit in ``layer``, and
-    after that layer, a zero on the slice of each (qubit, bit) pattern in
+    after that layer, a zero on the slice of each :class:`Pattern` in
     ``zeroed``; :meth:`flush` pays both.  ``zeroed`` is empty while
-    ``layer`` is.  Or it owes a run of MCX gates, ``run``: (control
-    qubits, target, control-bit tuples), an X on the target wherever the
-    controls spell one of the tuples; :meth:`flush` pays that too.  A
-    block never owes a layer and a run at once.
+    ``layer`` is.  Or it owes a run of MCX gates, ``run``: (control mask,
+    target, set of control bits), an X on the target wherever the
+    controls spell one of the bits; :meth:`flush` pays that too.  A block
+    never owes a layer and a run at once.
     """
 
     __slots__ = ("core", "axes", "factors", "layer", "zeroed", "run")
@@ -198,8 +187,8 @@ class _Block:
         self.axes = axes
         self.factors = factors
         self.layer: frozenset[int] = frozenset()
-        self.zeroed: list[dict[int, int]] = []
-        self.run: tuple[tuple[int, ...], int, set[tuple[int, ...]]] | None = None
+        self.zeroed: list[Pattern] = []
+        self.run: tuple[int, int, set[int]] | None = None
 
     def copy(self) -> "_Block":
         """A copy of a flushed block."""
@@ -241,23 +230,15 @@ class _Block:
         )
         return axes, out
 
-    def merge(self, qubits: Sequence[int]) -> None:
-        """Move the factored ``qubits`` into the core."""
-        if any(q in self.factors for q in qubits):
-            self.axes, self.core = self.merged(qubits)
-            for qubit in qubits:
-                self.factors.pop(qubit, None)
-
-    def view(self, pattern: Iterable[tuple[int, int]]) -> Array:
-        """Writable view of the core matching a (qubit, bit) pattern on core qubits.
+    def view(self, pattern: tuple[int, int]) -> Array:
+        """Writable view of the core where its qubits match ``pattern``;
+        the pattern's factored qubits play no part.
 
         Its axes are the unfixed core qubits in ascending order; with
         every core qubit fixed it is a 0-d view, not a copied scalar.
         """
-        index: list[int | slice] = [slice(None)] * len(self.axes)
-        for qubit, bit in pattern:
-            index[self.axes.index(qubit)] = bit
-        return self.core[(*index, ...)]
+        mask, bits = pattern
+        return self.core[(*[bits >> q & 1 if mask >> q & 1 else slice(None) for q in self.axes], ...)]
 
     def gather(self, indices: Array, position) -> Array:
         """Amplitudes at basis ``indices``: the core entry the core qubits'
@@ -270,24 +251,23 @@ class _Block:
             values *= factor[(indices >> position(qubit)) & 1]
         return values
 
-    def branch(self, fixed: dict[int, int]) -> tuple[Array, complex, float] | None:
+    def branch(self, pattern: tuple[int, int]) -> tuple[Array, complex, float] | None:
         """The core slice of a pattern's branch, the amplitude its fixed
         factored qubits contribute, and the branch's squared norm; None,
         without reading the core or applying its layer, when a basis
         factor contradicts it."""
-        if any(self.factors.get(q) is _KETS[1 - bit] for q, bit in fixed.items()):
+        mask, bits = pattern
+        if any(mask >> q & 1 and f is _KETS[1 - (bits >> q & 1)] for q, f in self.factors.items()):
             return None
         self.flush()
         amplitude = 1.0
         weight = 1.0
         for qubit, factor in self.factors.items():
-            bit = fixed.get(qubit)
-            if bit is None:
-                if factor is not _ZERO and factor is not _ONE:  # a ket's weight is 1
-                    weight *= float(np.vdot(factor, factor).real)
-            else:
-                amplitude *= complex(factor[bit])
-        kept = self.view((q, bit) for q, bit in fixed.items() if q not in self.factors)
+            if mask >> qubit & 1:
+                amplitude *= complex(factor[bits >> qubit & 1])
+            elif factor is not _ZERO and factor is not _ONE:  # a ket's weight is 1
+                weight *= float(np.vdot(factor, factor).real)
+        kept = self.view(pattern)
         weight *= abs(amplitude) ** 2 * float(np.vdot(kept, kept).real)
         return kept, amplitude, weight
 
@@ -333,7 +313,7 @@ class _Block:
             matrix = _SYLVESTER[length] * scale if i == len(runs) - 1 else _SYLVESTER[length]
             _transform(real.reshape(1 << first, 1 << length, -1), matrix)
         for pattern in self.zeroed:
-            self.view(pattern.items())[...] = 0.0
+            self.view(pattern)[...] = 0.0
         self.layer = frozenset()
         self.zeroed = []
 
@@ -344,36 +324,39 @@ class _Block:
             return
         self.core.reshape(1 << self.axes.index(target), 2, -1)[:, 1, :] *= rotation
 
-    def toggle(self, qubits: tuple[int, ...], bits: tuple[int, ...], target: int) -> None:
-        """MCX with controls ``zip(qubits, bits)``, recorded in the pending run.
+    def toggle(self, pattern: tuple[int, int], target: int) -> None:
+        """MCX with controls ``pattern``, recorded in the pending run.
 
-        A gate with the run's control qubits and target toggles its
-        control bits in the run's set, so a repeated one cancels.  Any
-        other gate first flushes the block, merges its controls and
-        target into the core and starts a new run.
+        A gate with the run's control mask and target toggles its control
+        bits in the run's set, so a repeated one cancels.  Any other gate
+        first flushes the block, merges its controls and target into the
+        core and starts a new run.
         """
+        mask, bits = pattern
         run = self.run
-        if run is None or run[0] != qubits or run[1] != target:
+        if run is None or run[0] != mask or run[1] != target:
             self.flush()
-            self.merge((*qubits, target))
-            self.run = run = (qubits, target, set())
+            new = [q for q in self.factors if mask >> q & 1 or q == target]
+            if new:
+                self.axes, self.core = self.merged(new)
+                for qubit in new:
+                    del self.factors[qubit]
+            self.run = run = (mask, target, set())
         run[2].symmetric_difference_update((bits,))
 
-    def swap(self, qubits: tuple[int, ...], target: int, patterns: Iterable[tuple[int, ...]]) -> None:
-        """MCX gates with the same core control ``qubits`` and core
-        ``target``, one per control-bit tuple in ``patterns``, each tuple
-        at most once, so the swaps are disjoint: one swap over all of them.
+    def swap(self, mask: int, target: int, patterns: Iterable[int]) -> None:
+        """MCX gates with the same core control ``mask`` and core
+        ``target``, one per control bits in ``patterns``, each at most
+        once, so the swaps are disjoint: one swap over all of them.
 
-        One tuple indexes the core by integers, a view; several by one
-        index array per control axis, a copy.
+        One pattern indexes the core by integers, a view; several by one
+        shift-and-mask of an int64 array per control axis, a copy.
         """
-        patterns = tuple(patterns)
+        patterns = list(patterns)
         if not patterns:
             return
-        index: list = [slice(None)] * len(self.axes)
-        columns = patterns[0] if len(patterns) == 1 else np.array(patterns).T
-        for qubit, column in zip(qubits, columns):
-            index[self.axes.index(qubit)] = column
+        bits = patterns[0] if len(patterns) == 1 else np.array(patterns, np.int64)
+        index = [bits >> q & 1 if mask >> q & 1 else slice(None) for q in self.axes]
         position = self.axes.index(target)
         index[position] = 0
         low = tuple(index)
@@ -385,32 +368,28 @@ class _Block:
         self.core[low] = self.core[high]
         self.core[high] = swapped
 
-    def resolved(self, controls: Iterable[tuple[int, int]]) -> list[tuple[int, int]] | None:
-        """``controls`` less the factored ones that always match, or None if
-        one never matches.  A factored control is decided when its factor
-        has an exact zero entry, as a basis ket has."""
-        kept = []
-        for qubit, bit in controls:
-            factor = self.factors.get(qubit)
-            if factor is None or (factor[0] and factor[1]):
-                kept.append((qubit, bit))
-            elif not factor[bit]:
-                return None
-        return kept
+    def resolved(self, pattern: tuple[int, int]) -> Pattern | None:
+        """``pattern`` less the factored controls that always match, or None
+        if one never matches.  A factored control is decided when its
+        factor has an exact zero entry, as a basis ket has."""
+        mask, bits = pattern
+        for qubit, factor in self.factors.items():
+            if mask >> qubit & 1 and not (factor[0] and factor[1]):
+                if not factor[bits >> qubit & 1]:
+                    return None
+                mask ^= 1 << qubit
+        return Pattern(mask, bits & mask)
 
-    def splits(self, controls: Iterable[tuple[int, int]], target: int) -> bool:
+    def splits(self, pattern: tuple[int, int], target: int) -> bool:
         """Whether the target is a basis ket and every control a core
         qubit or a factor that :meth:`resolved` decides."""
         factor = self.factors.get(target)
         if factor is not _ZERO and factor is not _ONE:
             return False
-        for qubit, _ in controls:
-            factor = self.factors.get(qubit)
-            if factor is not None and factor[0] and factor[1]:
-                return False
-        return True
+        mask = pattern[0]
+        return not any(mask >> q & 1 and f[0] and f[1] for q, f in self.factors.items())
 
-    def split(self, controls: Iterable[tuple[int, int]], target: int) -> "_Block | None":
+    def split(self, pattern: tuple[int, int], target: int) -> "_Block | None":
         """MCX on a block that :meth:`splits`; returns the block the matched
         slice moves to, or None if nothing moved out.
 
@@ -422,30 +401,30 @@ class _Block:
         recorded one is an exact zero.  Any other split applies the layer
         first, and then copies the slice and zeroes it in place.
         """
-        pattern = self.resolved(controls)
+        pattern = self.resolved(pattern)
         if pattern is None:
             return None
         flipped = _ONE if self.factors[target] is _ZERO else _ZERO
-        if not pattern:
+        if not pattern.mask:
             self.factors[target] = flipped
             return None
-        fixed = dict(pattern)
+        mask, bits = pattern
         factors = dict(self.factors)
-        for qubit, bit in pattern:
+        for qubit, bit in pattern.pairs:
             factors[qubit] = _KETS[bit]
         factors[target] = flipped
-        axes = tuple(q for q in self.axes if q not in fixed)
-        met = [z for z in self.zeroed if all(fixed.get(q, bit) == bit for q, bit in z.items())]
-        if any(z.keys() <= fixed.keys() for z in met):
+        axes = tuple(q for q in self.axes if not mask >> q & 1)
+        met = [zmask for zmask, zbits in self.zeroed if not (zbits ^ bits) & zmask & mask]
+        if any(not zmask & ~mask for zmask in met):
             return _Block(np.zeros((2,) * len(axes), np.complex128), axes, factors)
-        if met or self.run or not self.layer <= fixed.keys():
+        if met or self.run or any(not mask >> q & 1 for q in self.layer):
             self.flush()
-        free = [q for q in self.axes if q not in fixed or q in self.layer]
-        matched = self.view((q, bit) for q, bit in pattern if q not in self.layer)
-        core = _signed_sum(matched, [(free.index(q), fixed[q]) for q in self.layer])
+        free = [q for q in self.axes if not mask >> q & 1 or q in self.layer]
+        matched = self.view((mask - sum(1 << q for q in self.layer), bits))
+        core = _signed_sum(matched, [(free.index(q), bits >> q & 1) for q in self.layer])
         if self.layer:
             core *= 2.0 ** (-0.5 * len(self.layer))
-            self.zeroed.append(fixed)
+            self.zeroed.append(pattern)
         else:
             matched[...] = 0.0
         return _Block(core, axes, factors)
@@ -588,10 +567,11 @@ class StateVector:
     def norm(self) -> float:
         return math.hypot(*(block.norm() for block in self._blocks))
 
-    def probability(self, pattern: Iterable[tuple[int, int]]) -> float:
-        """Squared norm of the components matching a (qubit, bit) pattern."""
-        fixed = self._fixed(pattern)
-        branches = (block.branch(fixed) for block in self._stored)
+    def probability(self, pattern: Pattern | Iterable[tuple[int, int]]) -> float:
+        """Squared norm of the components matching a pattern: (qubit, bit)
+        pairs or a :class:`Pattern`, checked by :func:`control_pattern`."""
+        pattern = control_pattern(pattern, self.layout.total)
+        branches = (block.branch(pattern) for block in self._stored)
         return sum((branch[2] for branch in branches if branch is not None), 0.0)
 
     def max_difference(self, other: "StateVector") -> float:
@@ -631,7 +611,7 @@ class StateVector:
         state, together with any others pending.
         """
         if isinstance(gate, MCX):
-            self._mcx(gate.controls, gate.target)
+            self._mcx((gate.mask, gate.bits), gate.target)
         elif isinstance(gate, Hadamard):
             self._hadamard(gate.target)
         elif isinstance(gate, PhaseK):
@@ -641,9 +621,10 @@ class StateVector:
         return self
 
     def apply_projector_terms(
-        self, terms: Sequence[tuple[Sequence[tuple[int, int]], Sequence[int]]]
+        self, terms: Sequence[tuple[Pattern | Sequence[tuple[int, int]], Sequence[int]]]
     ) -> "StateVector":
-        """Apply a sum of (projector pattern, X targets) terms in place.
+        """Apply a sum of (projector pattern, X targets) terms in place; a
+        pattern is as in :meth:`probability`.
 
         Each term flips the listed target qubits on exactly the basis
         states matching its pattern; basis states matching no pattern
@@ -656,18 +637,13 @@ class StateVector:
 
         This is the gate-free path used to cross-check compiled circuits.
         """
-        cleaned: list[tuple[dict[int, int], tuple[int, ...]]] = []
+        cleaned: list[tuple[Pattern, tuple[int, ...]]] = []
         for pattern, targets in terms:
-            required = self._fixed(pattern)
+            required = control_pattern(pattern, self.layout.total)
             flipped = tuple(targets)
-            for i, qubit in enumerate(flipped):
-                self._check_qubit(qubit)
-                if qubit in required:
-                    raise ValueError(
-                        f"projector term targets qubit {qubit} fixed by its own pattern"
-                    )
-                if qubit in flipped[:i]:
-                    raise ValueError(f"duplicate target qubit {qubit}")
+            # the targets as a pattern: distinct qubits in the register
+            if control_pattern([(q, 1) for q in flipped], self.layout.total).mask & required.mask:
+                raise ValueError("projector term targets a qubit fixed by its own pattern")
             cleaned.append((required, flipped))
 
         if _overlap(required for required, _ in cleaned):
@@ -677,16 +653,16 @@ class StateVector:
         # terms on the same qubits and target join one pending run
         for required, flipped in cleaned:
             for qubit in flipped:
-                self._mcx(tuple(required.items()), qubit)
+                self._mcx(required, qubit)
         return self
 
     # ------------------------------------------------------------------
     # non-unitary
 
     def postselect(
-        self, pattern: Iterable[tuple[int, int]]
+        self, pattern: Pattern | Iterable[tuple[int, int]]
     ) -> tuple["StateVector", float]:
-        """Project onto a (qubit, bit) pattern and renormalize.
+        """Project onto a pattern, as in :meth:`probability`, and renormalize.
 
         Returns the renormalized projection and the pre-renormalization
         squared norm (the probability a plain measurement would have
@@ -699,13 +675,13 @@ class StateVector:
         ValueError
             If the pattern is empty or the projection has no support.
         """
-        fixed = self._fixed(pattern)
-        if not fixed:
+        pattern = control_pattern(pattern, self.layout.total)
+        if not pattern.mask:
             raise ValueError("post-selection pattern is empty")
         branches = [
             (block, branch)
             for block in self._stored
-            if (branch := block.branch(fixed)) is not None
+            if (branch := block.branch(pattern)) is not None
         ]
         probability = sum((weight for _, (_, _, weight) in branches), 0.0)
         if probability == 0.0:
@@ -716,9 +692,9 @@ class StateVector:
                 kept, amplitude / np.sqrt(probability), out=np.empty(kept.shape, np.complex128)
             )
             factors = dict(block.factors)
-            for qubit, bit in fixed.items():
+            for qubit, bit in pattern.pairs:
                 factors[qubit] = _KETS[bit]
-            blocks.append(_Block(core, tuple(q for q in block.axes if q not in fixed), factors))
+            blocks.append(_Block(core, tuple(q for q in block.axes if not pattern.mask >> q & 1), factors))
         keys = self._keys if len(blocks) > 1 else frozenset()
         return StateVector(self.layout, blocks, keys), probability
 
@@ -816,17 +792,6 @@ class StateVector:
                 f"qubit {qubit} outside register of {self.layout.total} qubits"
             )
 
-    def _fixed(self, pattern: Iterable[tuple[int, int]]) -> dict[int, int]:
-        fixed: dict[int, int] = {}
-        for qubit, bit in pattern:
-            self._check_qubit(qubit)
-            if bit not in (0, 1):
-                raise ValueError(f"pattern bit for qubit {qubit} must be 0 or 1")
-            if qubit in fixed:
-                raise ValueError(f"qubit {qubit} appears twice in pattern")
-            fixed[qubit] = int(bit)  # a bool would index numpy as a mask
-        return fixed
-
     def _joined(self) -> _Block:
         """The blocks summed into one, over the union of their core axes
         and every qubit whose factor differs between them."""
@@ -862,28 +827,28 @@ class StateVector:
         for block in self._blocks:
             block.phase(target, rotation)
 
-    def _mcx(self, controls: tuple[tuple[int, int], ...], target: int) -> None:
-        qubits, bits = _unzip(controls)
-        touched = (*qubits, target)
-        if min(touched) < 0 or max(touched) >= self.layout.total:
-            for qubit in touched:
-                self._check_qubit(qubit)
+    def _mcx(self, pattern: tuple[int, int], target: int) -> None:
+        """MCX with controls ``pattern``, a checked (mask, bits) pair that
+        does not fix ``target``."""
+        self._check_qubit(target)
+        if pattern[0] >> self.layout.total:
+            self._check_qubit(pattern[0].bit_length() - 1)
         if target in self._keys:
             self._join()
         blocks = self._stored
         if len(blocks) == 1:
             factor = blocks[0].factors.get(target)
             if factor is not _ZERO and factor is not _ONE:
-                blocks[0].toggle(qubits, bits, target)
+                blocks[0].toggle(pattern, target)
                 return
-        if not all(block.splits(controls, target) for block in blocks):
+        if not all(block.splits(pattern, target) for block in blocks):
             for block in blocks:
-                pattern = block.resolved(controls)
-                if pattern is not None:
-                    block.toggle(*_unzip(pattern), target)
+                resolved = block.resolved(pattern)
+                if resolved is not None:
+                    block.toggle(resolved, target)
             return
         for block in tuple(blocks):
-            new = block.split(controls, target)
+            new = block.split(pattern, target)
             if new is not None:
                 blocks.append(new)
                 self._keys |= {target}

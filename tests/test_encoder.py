@@ -149,7 +149,7 @@ def test_superpose_state_is_uniform_with_fixed_phases():
 def test_tag_probability_matches_plan_levels():
     after_amp = util.compiled_stages(compile_circuit(WORKED))[1]
     for j in range(2):
-        pattern = LAYOUT.system_pattern(j) + ((LAYOUT.tag, 1),)
+        pattern = LAYOUT.system_pattern(j).pairs + ((LAYOUT.tag, 1),)
         expected = WORKED.amp_ints[j] * 2.0 ** -(WORKED.n + WORKED.m)
         assert abs(after_amp.probability(pattern) - expected) < 1e-12
 
@@ -159,7 +159,7 @@ def test_zero_amplitude_row_is_never_tagged():
     assert plan.amp_ints.tolist() == [1, 0]
     layout = RegisterLayout(1, 1)
     stages = util.compiled_stages(compile_circuit(plan))
-    tagged = layout.system_pattern(1) + ((layout.tag, 1),)
+    tagged = layout.system_pattern(1).pairs + ((layout.tag, 1),)
     assert stages[1].probability(tagged) < 1e-24
     # and the kept branch puts nothing on that label
     final_sys = stages[5].extract(layout.system)
@@ -310,15 +310,16 @@ def test_plain_simulate_swaps_once_per_run(monkeypatch):
     swap, apply = statevector._Block.swap, StateVector.apply
     monkeypatch.setattr(
         statevector._Block, "swap",
-        lambda block, qubits, target, patterns: swaps.append((qubits, target, len(patterns)))
-        or swap(block, qubits, target, patterns),
+        lambda block, mask, target, patterns: swaps.append((mask, target, len(patterns)))
+        or swap(block, mask, target, patterns),
     )
     monkeypatch.setattr(StateVector, "apply", lambda state, gate: applied.append(gate) or apply(state, gate))
     run = simulate(circuit)
     assert applied == list(circuit.gates)
-    phase = (*layout.system, *layout.phase)
+    system = sum(1 << q for q in layout.system)
+    phase = system + sum(1 << q for q in layout.phase)
     assert [s for s in swaps if s[0] == phase] == [(phase, layout.scratch, 1 << plan.n)]
-    assert [s[:2] for s in swaps].count((layout.system, layout.scratch)) == plan.m + 1
+    assert [s[:2] for s in swaps].count((system, layout.scratch)) == plan.m + 1
     assert len(swaps) == 2 * plan.m + 2
     assert abs(run.probability - naive_success_probability(plan)) < 1e-12
 
@@ -436,6 +437,9 @@ def test_parse_tolerates_comments_and_blanks():
         (lambda t: t.replace("CMEAS 7 8\n", ""), "missing terminal"),
         (lambda t: t.replace("n 1\n", ""), "declare both"),
         (lambda t: t.replace("H 0", "H zero"), "integer"),
+        (lambda t: t.replace("MCX +1 -2 +5 6", "MCX +0 +1"), "expected integer"),
+        (lambda t: t.replace("H 1", "H +1"), "expected integer"),
+        (lambda t: t.replace("H 1", "H 0_1"), "expected integer"),
         (lambda t: t.replace("MCX +1 -2 +5 6", "MCX 1 -2 +5 6"), "start with"),
         (lambda t: t.replace("H 0", "H 0 0"), "one qubit"),
         (lambda t: "", "empty"),

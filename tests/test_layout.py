@@ -27,8 +27,8 @@ def test_invalid_sizes_rejected():
 def test_system_pattern_is_big_endian():
     layout = RegisterLayout(3, 1)
     # label 4 = binary 100: most significant bit on system[0]
-    assert layout.system_pattern(4) == ((0, 1), (1, 0), (2, 0))
-    assert layout.system_pattern(1) == ((0, 0), (1, 0), (2, 1))
+    assert layout.system_pattern(4).pairs == ((0, 1), (1, 0), (2, 0))
+    assert layout.system_pattern(1).pairs == ((0, 0), (1, 0), (2, 1))
 
 
 def test_amp_pattern_is_little_endian():
@@ -40,7 +40,7 @@ def test_amp_pattern_is_little_endian():
 
 def test_phase_pattern_tracks_word_order():
     layout = RegisterLayout(1, 2)
-    assert layout.phase_pattern([1, 0]) == ((layout.phase[0], 1), (layout.phase[1], 0))
+    assert layout.phase_pattern([1, 0]).pairs == ((layout.phase[0], 1), (layout.phase[1], 0))
     with pytest.raises(ValueError):
         layout.phase_pattern([1])
     with pytest.raises(ValueError):
@@ -66,9 +66,9 @@ def test_bit_position_msb_first():
 def test_index_of_full_assignment():
     layout = RegisterLayout(1, 2)
     assignment = (
-        layout.system_pattern(1)
+        layout.system_pattern(1).pairs
         + util.amp_pattern(layout, 2)
-        + layout.phase_pattern([1, 1])
+        + layout.phase_pattern([1, 1]).pairs
         + ((layout.scratch, 0), (layout.tag, 1), (layout.flag, 0), (layout.meter, 0))
     )
     # qubits 0..8 bits: 1 01 11 0 1 0 0  (amp value 2 -> amp[1] set)

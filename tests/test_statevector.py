@@ -1087,7 +1087,7 @@ def spare_targets(state):
     onto one splits."""
     return [
         q for q in range(state.layout.total)
-        if q not in state._keys and all(block.splits((), q) for block in state._stored)
+        if q not in state._keys and all(block.splits((0, 0), q) for block in state._stored)
     ]
 
 
@@ -1118,14 +1118,15 @@ def rules_out(block, pattern):
 def split_cases(state, gate):
     """How a split reads each block whose layer is pending."""
     cases = set()
-    if not all(block.splits(gate.controls, gate.target) for block in state._stored):
+    if not all(block.splits((gate.mask, gate.bits), gate.target) for block in state._stored):
         return cases
     for block in state._stored:
-        pattern = block.resolved(gate.controls)
-        if not pattern or not block.layer:
+        pattern = block.resolved((gate.mask, gate.bits))
+        if pattern is None or not pattern.mask or not block.layer:
             continue
-        fixed = dict(pattern)
-        met = [z for z in block.zeroed if all(fixed.get(q, bit) == bit for q, bit in z.items())]
+        fixed = dict(pattern.pairs)
+        zeroed = [dict(z.pairs) for z in block.zeroed]
+        met = [z for z in zeroed if all(fixed.get(q, bit) == bit for q, bit in z.items())]
         if any(z.keys() <= fixed.keys() for z in met):
             cases.add("zero block")
         elif met:
@@ -1357,7 +1358,7 @@ def run_break(kind, rng, state, qubits, target):
     if not targets or not controls:
         return None
     gate = MCX(tuple(zip(controls, run_patterns(rng, len(controls), 1)[0])), targets[0])
-    return gate if all(block.splits(gate.controls, gate.target) for block in state._stored) else None
+    return gate if all(block.splits((gate.mask, gate.bits), gate.target) for block in state._stored) else None
 
 
 def assert_equal(actual, expected, exact):

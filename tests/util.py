@@ -100,9 +100,9 @@ def basis_index(layout, label, work, word, marks, outcome) -> int:
     (scratch, tag), (flag, meter)) assignment, through ``index_of``."""
     return index_of(
         layout,
-        layout.system_pattern(label)
+        layout.system_pattern(label).pairs
         + amp_pattern(layout, work)
-        + layout.phase_pattern(word)
+        + layout.phase_pattern(word).pairs
         + (
             (layout.scratch, marks[0]),
             (layout.tag, marks[1]),
