@@ -15,10 +15,10 @@ arrays; single-qubit gates merge the axes on either side of the target,
 
 ``ground`` starts with one block: an empty core and every qubit a |0>
 factor.  Hadamard and phase gates on a factored qubit update its
-2-vector.  A gate or projector term touching factored qubits first
-multiplies all of them into the core, in one allocation, and then runs on
-the core in place.  The basis factors |0> and |1> are two shared
-read-only kets, recognised by identity.
+2-vector.  A gate or projector term touching factored qubits multiplies
+all of them into the core, in one allocation, when it is applied, and
+then runs on the core in place.  The basis factors |0> and |1> are two
+shared read-only kets, recognised by identity.
 
 A Hadamard on a core qubit of a block is deferred: the target toggles in
 that block's pending layer, since Hadamards on distinct qubits commute
@@ -27,22 +27,29 @@ property, which first applies each block's layer as a radix-16 fast
 Walsh-Hadamard transform, in place (``_Block.flush``).  That property is
 the flush point for every reader and every other gate, so none sees a
 stale state.  Two paths read less and leave the layer pending: a split
-whose core controls fix every pending qubit reads its slice as a signed
-sum (see ``_Block.split``), and post-selection and ``probability`` drop
-a block that a basis factor rules out before applying its layer.
+whose controls fix every pending qubit reads its slice as a signed sum,
+through a pending run too (see ``_Block.split``), and post-selection
+and ``probability`` drop a block that a basis factor rules out before
+applying its layer.
 
 A control pattern is a (mask, bits) pair of ints, bit q for qubit q (see
 ``layout.Pattern``).  An MCX that does not split (see below) is deferred
-too.  Its block merges the controls and the target into the core and
-records a pending run: the control mask, the target and a set of
-control bits, in which each gate toggles its own, so a repeated gate
-cancels.  Later gates with the same mask and target only toggle: every
-amplitude mark and unwind (an unwind and the next mark fold into one
-run), every phase-stage gate and the terms of each
-``apply_projector_terms`` call.  Any other gate, a Hadamard on a core
-qubit, a split and every read first apply the run as one swap over the
-bits left (``_Block.swap``).  A block never owes a layer and a run at
-once, and ``apply`` still takes one gate per call.
+too.  Its block records a pending run: the control mask, the target and
+a set of control bits, in which each gate toggles its own, so a repeated
+gate cancels.  Its factored controls and target are owed to the core,
+not yet merged.  Later gates with the same mask and target only toggle:
+every amplitude mark and unwind (an unwind and the next mark fold into
+one run), every phase-stage gate and the terms of each
+``apply_projector_terms`` call.  A Hadamard on a qubit outside the run
+commutes with it, and a Hadamard on an owed control waits for the
+merge, so both join the layer on top of the run.  So a block may owe a
+run and a layer at once, and its flush pays in one fixed order: merge
+the owed qubits, swap the run over the bits left (``_Block.swap``),
+apply the layer, zero the recorded slices.  Any other gate, a Hadamard
+on a core control or the run's target, and every read first flush.
+``apply`` still takes one gate per call.  In a plain run the phase
+stage's controls stay owed, so the core never holds the phase register:
+the label stage's split reads its slice through the run and the layer.
 
 Blocks come from one rule.  An MCX whose target is a basis factor in
 every block, and whose controls are each a core qubit or a factor with
@@ -52,7 +59,7 @@ the block untouched, and one that always matches is dropped.  With no
 core control left, the target's factor flips in place; otherwise the
 slice the core controls select is copied into a new block, with those
 controls and the flipped target as basis factors, and zeroed in place,
-at a cost of O(slice) when no layer is pending.  The target becomes a
+at a cost of O(slice) when the block owes nothing.  The target becomes a
 key qubit.  Invariant: any two blocks differ on a key qubit that is a
 basis factor in both, so blocks have disjoint support, and norms,
 probabilities and post-selection weights add over blocks.  Every other gate runs block by
@@ -75,6 +82,7 @@ apply a pending layer or run, but distinct vectors are independent.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
@@ -171,16 +179,19 @@ def _same(factor: Array | None, other: Array) -> bool:
 class _Block:
     """One term of a state: a dense core over ``axes`` times exact factors.
 
-    The core still owes a Hadamard on each core qubit in ``layer``, and
-    after that layer, a zero on the slice of each :class:`Pattern` in
-    ``zeroed``; :meth:`flush` pays both.  ``zeroed`` is empty while
-    ``layer`` is.  Or it owes a run of MCX gates, ``run``: (control mask,
+    A block may owe, in this order, three things, and :meth:`flush` pays
+    them in that order.  First a run of MCX gates, ``run``: (control mask,
     target, set of control bits), an X on the target wherever the
-    controls spell one of the bits; :meth:`flush` pays that too.  A block
-    never owes a layer and a run at once.
+    controls spell one of the bits.  Its controls and target that are not
+    core qubits wait in ``owed`` (qubit to 2-vector, out of ``factors``),
+    to be merged into the core just before the run's swap.  Then a
+    Hadamard on each qubit in ``layer``: a core qubit outside the run, or
+    an owed control of the run.  Last, a zero on the slice of each
+    :class:`Pattern` in ``zeroed``; ``zeroed`` is empty while the block
+    owes neither a run nor a layer.
     """
 
-    __slots__ = ("core", "axes", "factors", "layer", "zeroed", "run")
+    __slots__ = ("core", "axes", "factors", "layer", "zeroed", "run", "owed")
 
     def __init__(self, core: Array, axes: tuple[int, ...], factors: dict[int, Array]):
         self.core = core
@@ -189,6 +200,7 @@ class _Block:
         self.layer: frozenset[int] = frozenset()
         self.zeroed: list[Pattern] = []
         self.run: tuple[int, int, set[int]] | None = None
+        self.owed: dict[int, Array] = {}
 
     def copy(self) -> "_Block":
         """A copy of a flushed block."""
@@ -254,8 +266,8 @@ class _Block:
     def branch(self, pattern: tuple[int, int]) -> tuple[Array, complex, float] | None:
         """The core slice of a pattern's branch, the amplitude its fixed
         factored qubits contribute, and the branch's squared norm; None,
-        without reading the core or applying its layer, when a basis
-        factor contradicts it."""
+        without reading the core or paying what the block owes, when a
+        basis factor contradicts it."""
         mask, bits = pattern
         if any(mask >> q & 1 and f is _KETS[1 - (bits >> q & 1)] for q, f in self.factors.items()):
             return None
@@ -272,21 +284,28 @@ class _Block:
         return kept, amplitude, weight
 
     def hadamard(self, target: int) -> None:
-        """A Hadamard: a factored target's 2-vector updates now, and a core
-        target toggles in the pending layer, since Hadamards on distinct
-        qubits commute and a repeated one cancels."""
+        """A Hadamard: a factored target's 2-vector updates now, and any
+        other target toggles in the pending layer, since Hadamards on
+        distinct qubits commute and a repeated one cancels.
+
+        A target outside the pending run commutes with it, and so does an
+        owed control, whose Hadamard waits for the merge; a core control or
+        the run's target first flushes the block, as a zeroed slice does.
+        """
         factor = self.factors.get(target)
         if factor is not None:
             low, high = factor
             self.factors[target] = np.array([low + high, low - high]) * _SQRT_HALF
             return
-        if self.zeroed or self.run:  # neither commutes with a later Hadamard
+        run = self.run
+        if self.zeroed or run and (run[1] == target or run[0] >> target & 1 and target not in self.owed):
             self.flush()
         self.layer ^= {target}
 
     def flush(self) -> None:
-        """Apply the pending run, or the pending layer and then the zeroing,
-        to the core in place.
+        """Pay what the block owes, in place: merge the owed qubits into the
+        core and swap the run, then apply the layer, then zero each
+        recorded slice.
 
         The layer's qubits are grouped into runs of at most 4 adjacent
         axes, and each run is one fast Walsh-Hadamard pass: its +-1
@@ -297,24 +316,29 @@ class _Block:
         in at most 8 slabs, so its scratch is about an eighth of the core.
         """
         if self.run:
+            if self.owed:
+                self.factors.update(self.owed)
+                self.axes, self.core = self.merged(self.owed)
+                for qubit in self.owed:
+                    del self.factors[qubit]
+                self.owed = {}
             self.swap(*self.run)
             self.run = None
-        if not self.layer:
-            return
-        runs: list[list[int]] = []  # [first axis, length]
-        for axis in (i for i, qubit in enumerate(self.axes) if qubit in self.layer):
-            if runs and runs[-1][0] + runs[-1][1] == axis and runs[-1][1] < 4:
-                runs[-1][1] += 1
-            else:
-                runs.append([axis, 1])
-        scale = 2.0 ** (-0.5 * len(self.layer))
-        real = self.core.reshape(-1).view(np.float64)
-        for i, (first, length) in enumerate(runs):
-            matrix = _SYLVESTER[length] * scale if i == len(runs) - 1 else _SYLVESTER[length]
-            _transform(real.reshape(1 << first, 1 << length, -1), matrix)
+        if self.layer:
+            runs: list[list[int]] = []  # [first axis, length]
+            for axis in (i for i, qubit in enumerate(self.axes) if qubit in self.layer):
+                if runs and runs[-1][0] + runs[-1][1] == axis and runs[-1][1] < 4:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([axis, 1])
+            scale = 2.0 ** (-0.5 * len(self.layer))
+            real = self.core.reshape(-1).view(np.float64)
+            for i, (first, length) in enumerate(runs):
+                matrix = _SYLVESTER[length] * scale if i == len(runs) - 1 else _SYLVESTER[length]
+                _transform(real.reshape(1 << first, 1 << length, -1), matrix)
+            self.layer = frozenset()
         for pattern in self.zeroed:
             self.view(pattern)[...] = 0.0
-        self.layer = frozenset()
         self.zeroed = []
 
     def phase(self, target: int, rotation: complex) -> None:
@@ -327,20 +351,18 @@ class _Block:
     def toggle(self, pattern: tuple[int, int], target: int) -> None:
         """MCX with controls ``pattern``, recorded in the pending run.
 
-        A gate with the run's control mask and target toggles its control
-        bits in the run's set, so a repeated one cancels.  Any other gate
-        first flushes the block, merges its controls and target into the
-        core and starts a new run.
+        A gate with the run's control mask and target, on a block that
+        owes nothing after the run, toggles its control bits in the run's
+        set, so a repeated one cancels.  Any other gate first flushes the
+        block and starts a new run; its factored controls and target move
+        to ``owed``, unmerged.
         """
         mask, bits = pattern
         run = self.run
-        if run is None or run[0] != mask or run[1] != target:
+        if run is None or run[0] != mask or run[1] != target or self.layer or self.zeroed:
             self.flush()
             new = [q for q in self.factors if mask >> q & 1 or q == target]
-            if new:
-                self.axes, self.core = self.merged(new)
-                for qubit in new:
-                    del self.factors[qubit]
+            self.owed = {q: self.factors.pop(q) for q in new}
             self.run = run = (mask, target, set())
         run[2].symmetric_difference_update((bits,))
 
@@ -393,13 +415,16 @@ class _Block:
         """MCX on a block that :meth:`splits`; returns the block the matched
         slice moves to, or None if nothing moved out.
 
-        The matched slice is read through the pending layer when the core
-        controls fix each of its qubits: it is then the core's sum over
-        them, signed by their bits (:func:`_signed_sum`) and scaled by
-        2**(-|layer|/2).  The layer stays pending, and the slice left
-        behind is recorded for zeroing after it.  A slice inside a
-        recorded one is an exact zero.  Any other split applies the layer
-        first, and then copies the slice and zeroes it in place.
+        The matched slice is read through what the block owes when the
+        controls fix every layer qubit, every owed qubit and the run's
+        target, a core qubit: it is then the core's sum over the core
+        layer qubits, signed by their bits (:func:`_signed_sum`), read
+        through the run (:meth:`through_run`) and scaled by
+        2**(-|layer|/2).  That costs O(core), and the block still owes all
+        of it, with the slice left behind recorded for zeroing last.  A
+        slice inside a recorded one is an exact zero.  Any other split
+        flushes the block first, and then copies the slice and zeroes it
+        in place.
         """
         pattern = self.resolved(pattern)
         if pattern is None:
@@ -413,21 +438,69 @@ class _Block:
         for qubit, bit in pattern.pairs:
             factors[qubit] = _KETS[bit]
         factors[target] = flipped
-        axes = tuple(q for q in self.axes if not mask >> q & 1)
+        # owed qubits join the core at the flush, so they count as core axes
+        axes = tuple(q for q in sorted((*self.axes, *self.owed)) if not mask >> q & 1)
         met = [zmask for zmask, zbits in self.zeroed if not (zbits ^ bits) & zmask & mask]
         if any(not zmask & ~mask for zmask in met):
             return _Block(np.zeros((2,) * len(axes), np.complex128), axes, factors)
-        if met or self.run or any(not mask >> q & 1 for q in self.layer):
+        run = self.run
+        if met or any(not mask >> q & 1 for q in (*self.layer, *self.owed)) or run and (
+            run[1] in self.owed or not mask >> run[1] & 1
+        ):
             self.flush()
-        free = [q for q in self.axes if not mask >> q & 1 or q in self.layer]
-        matched = self.view((mask - sum(1 << q for q in self.layer), bits))
-        core = _signed_sum(matched, [(free.index(q), bits >> q & 1) for q in self.layer])
+            run = None
+        swapped = run[1] if run else -1
+        read = [q for q in self.axes if not mask >> q & 1 or q in self.layer or q == swapped]
+        matched = self.view((mask & ~sum(1 << q for q in read), bits))
+        core = _signed_sum(matched, [(read.index(q), bits >> q & 1) for q in read if q in self.layer])
+        if run:
+            core = self.through_run(core, pattern, axes)
         if self.layer:
             core *= 2.0 ** (-0.5 * len(self.layer))
+        if self.layer or run:
             self.zeroed.append(pattern)
         else:
             matched[...] = 0.0
         return _Block(core, axes, factors)
+
+    def through_run(self, summed: Array, pattern: Pattern, axes: tuple[int, ...]) -> Array:
+        """The matched slice of a split read through the pending run, but
+        for the layer's scale: :meth:`split` sums the unswapped core's
+        slice over the core layer qubits into ``summed``, whose axes are
+        the free core qubits ``axes`` and the run's target.
+
+        The slice is that sum at the controls' target bit times each owed
+        qubit's entry at its bit (its signed entry sum if it is a layer
+        qubit), plus one correction per run tuple the controls admit: the
+        swap's difference, the sum at the other target bit less that one,
+        times the tuple's owed entries, signed by its bits on the layer
+        qubits.  Tuples that meet the same free core controls add up
+        first, so the cost is O(summed) plus O(tuples).
+        """
+        mask, bits = pattern
+        controls, swapped, patterns = self.run
+        at = (slice(None),) * sum(q < swapped for q in axes)
+        kept, other = summed[(*at, bits >> swapped & 1)], summed[(*at, 1 - (bits >> swapped & 1))]
+        # tuples that disagree with the controls outside the layer never meet the slice
+        tuples = np.array(list(patterns), np.int64)
+        tuples = tuples[(tuples ^ bits) & controls & mask & ~sum(1 << q for q in self.layer) == 0]
+        scalar = 1.0
+        weights = np.ones(len(tuples), np.complex128)
+        for qubit, factor in self.owed.items():
+            if qubit in self.layer:
+                factor = factor * (1, 1 - 2 * (bits >> qubit & 1))
+                scalar *= factor[0] + factor[1]
+            else:
+                scalar *= factor[bits >> qubit & 1]
+            weights *= factor[tuples >> qubit & 1]
+        position = np.zeros(len(tuples), np.int64)
+        for qubit in axes:
+            if controls >> qubit & 1:
+                position = position << 1 | tuples >> qubit & 1
+        share = np.zeros(1 << sum(controls >> q & 1 for q in axes), np.complex128)
+        np.add.at(share, position, weights)
+        share = share.reshape([2 if controls >> q & 1 else 1 for q in axes])
+        return kept * (scalar - share) + other * share
 
 
 class StateVector:
@@ -448,7 +521,7 @@ class StateVector:
 
     @property
     def _blocks(self) -> list[_Block]:
-        """The blocks, each with its pending Hadamard layer or MCX run applied.
+        """The blocks, each flushed: its pending run, layer and zeroing paid.
 
         Every read and write of the blocks goes through here, so none
         sees a stale state, except :meth:`_hadamard`, :meth:`_mcx`,
@@ -545,17 +618,23 @@ class StateVector:
         return flat
 
     def amplitudes_at(self, indices) -> Array:
-        """Amplitudes at int64 basis indices, without the full vector.
+        """Amplitudes at integer basis indices, without the full vector.
 
         Each is the sum over blocks of the core entry its core qubits'
         bits select times the factor entries of the factored qubits' bits.
 
         Raises
         ------
+        TypeError
+            If the indices are not integers (an empty list is allowed).
         ValueError
             If an index lies outside [0, 2**total).
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
+        # a float index is never truncated; numpy reads [] as float64
+        if indices.size and indices.dtype.kind not in "iu":
+            raise TypeError(f"basis indices must be integers, got {indices.dtype}")
+        indices = indices.astype(np.int64, copy=False)
         if indices.size and (indices.min() < 0 or indices.max() >= 1 << self.layout.total):
             raise ValueError(f"basis index outside [0, 2**{self.layout.total})")
         first, *rest = self._blocks
@@ -736,8 +815,10 @@ class StateVector:
         EntanglementError
             If the named qubits are entangled with the rest of the
             register beyond ``tol``.
+        TypeError
+            If a qubit is not an integer.
         """
-        picked = [int(q) for q in qubits]
+        picked = [operator.index(q) for q in qubits]
         if not picked:
             raise ValueError("need at least one qubit to extract")
         if len(set(picked)) != len(picked):

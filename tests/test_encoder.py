@@ -250,9 +250,13 @@ def test_on_stage_sees_each_live_stage_in_order():
     def hook(name, state):
         seen.append((name, state))
         if name != "measure":
-            # every gate up to the end of this stage, on a fresh state
-            stop = next(stop for stage, _, stop in circuit.stages if stage == name)
-            fresh = util.apply_all(StateVector.ground(circuit.layout), circuit.gates[:stop])
+            # every gate up to the end of this stage, on a fresh state read
+            # at the end of each stage, as this hook reads the live one
+            fresh = StateVector.ground(circuit.layout)
+            for stage, start, stop in circuit.stages:
+                util.apply_all(fresh, circuit.gates[start:stop]).norm()
+                if stage == name:
+                    break
             assert np.array_equal(state.amplitudes, fresh.amplitudes)
 
     run = simulate(circuit, on_stage=hook)
@@ -300,8 +304,10 @@ def test_plain_simulate_transforms_no_core(plan, passes, monkeypatch):
 
 def test_plain_simulate_swaps_once_per_run(monkeypatch):
     # each run of same-target MCX gates is one swap: a mark, its select,
-    # its unwind folded into the next mark, and the whole phase stage over
-    # its 2**n patterns; ``apply`` still sees every gate once
+    # its unwind folded into the next mark; a plain run reads the kept slice
+    # through the phase stage's run, so never swaps it, while a hook that
+    # reads each stage swaps it once over its 2**n patterns; ``apply``
+    # still sees every gate once
     rng = np.random.default_rng(94)
     plan = BitPlan(9, 4, rng.integers(0, 2, size=(512, 4)), rng.integers(0, 2, size=(512, 4)))
     circuit = compile_circuit(plan)
@@ -314,13 +320,34 @@ def test_plain_simulate_swaps_once_per_run(monkeypatch):
         or swap(block, mask, target, patterns),
     )
     monkeypatch.setattr(StateVector, "apply", lambda state, gate: applied.append(gate) or apply(state, gate))
-    run = simulate(circuit)
-    assert applied == list(circuit.gates)
     system = sum(1 << q for q in layout.system)
     phase = system + sum(1 << q for q in layout.phase)
-    assert [s for s in swaps if s[0] == phase] == [(phase, layout.scratch, 1 << plan.n)]
-    assert [s[:2] for s in swaps].count((system, layout.scratch)) == plan.m + 1
-    assert len(swaps) == 2 * plan.m + 2
+    for hook, phase_swaps in ((None, []), (lambda name, state: state.norm(), [(phase, layout.scratch, 1 << plan.n)])):
+        swaps.clear()
+        applied.clear()
+        run = simulate(circuit, on_stage=hook)
+        assert applied == list(circuit.gates)
+        assert [s for s in swaps if s[0] == phase] == phase_swaps
+        assert [s[:2] for s in swaps].count((system, layout.scratch)) == plan.m + 1
+        assert len(swaps) == 2 * plan.m + 1 + len(phase_swaps)
+        assert abs(run.probability - naive_success_probability(plan)) < 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(2, 7), (9, 4)])
+def test_plain_simulate_peaks_under_four_narrow_cores(n, m):
+    # a plain run never merges the phase register, so its widest core is
+    # the n + m + 2 system, amp, scratch and tag qubits
+    rng = np.random.default_rng(94)
+    plan = BitPlan(n, m, rng.integers(0, 2, size=(1 << n, m)), rng.integers(0, 2, size=(1 << n, m)))
+    circuit = compile_circuit(plan)
+    narrow_core_bytes = 16 << (n + m + 2)
+    tracemalloc.start()
+    try:
+        run = simulate(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * narrow_core_bytes
     assert abs(run.probability - naive_success_probability(plan)) < 1e-12
 
 
@@ -328,12 +355,15 @@ def test_plain_simulate_swaps_once_per_run(monkeypatch):
 def test_collapse_stage_allocates_under_a_quarter_core(plan):
     # the collapse stage's Hadamards wait as one layer; a plain run reads
     # only the kept slice through it, and a full read such as this one
-    # applies it in place with one slab of scratch, about an eighth of the core
+    # applies it in place with one slab of scratch, about an eighth of the
+    # core.  The phase stage's run and its merge are paid by a read before
+    # the collapse stage, as a hook that reads each stage pays them.
     circuit = compile_circuit(plan)
     core_bytes = 16 << (plan.n + 2 * plan.m + 2)
     state = StateVector.ground(circuit.layout)
     for name in ("superpose", "amplitude", "phase"):
         util.apply_all(state, util.stage_gates(circuit, name))
+    state.norm()
     tracemalloc.start()
     try:
         util.apply_all(state, util.stage_gates(circuit, "collapse"))

@@ -518,6 +518,10 @@ def test_extract_validates_input():
         state.extract([0, 0])
     with pytest.raises(ValueError):
         state.extract([SMALL.total])
+    # a qubit that is not an integer is never truncated to one
+    for qubits in ([1.7], [0, 2.0], [np.float64(1.0)]):
+        with pytest.raises(TypeError):
+            state.extract(qubits)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -773,6 +777,13 @@ def test_amplitudes_at_rejects_indices_outside_the_register():
     for indices in ([-1], [0, 1 << SMALL.total]):
         with pytest.raises(ValueError):
             state.amplitudes_at(np.array(indices, dtype=np.int64))
+    # an index that is not an integer is never truncated to one
+    for indices in ([32.9], [0, 1.0], np.array([True, False])):
+        with pytest.raises(TypeError):
+            state.amplitudes_at(indices)
+    # an empty list is float64 to numpy, yet reads nothing
+    assert state.amplitudes_at([]).shape == (0,)
+    assert np.array_equal(state.amplitudes_at([32, 5]), state.amplitudes[[32, 5]])
 
 
 def test_postselect_on_factored_and_core_qubits():
@@ -1481,6 +1492,187 @@ def test_runs_match_reference():
         *RUN_BREAKS,
         *RUN_READERS,
         *((reader, True) for reader in ("amplitudes", "amplitudes_at", "copy", "max_difference")),
+    }
+
+
+# ----------------------------------------------------------------------
+# runs over owed controls, under a layer
+
+
+OWED_SPLITS = ("through a run and a layer", "through a run alone", "flushes first", "zero block")
+OWED_HADAMARDS = ("on an owed control", "on a core run qubit", "outside the run")
+# run shapes, Hadamards, split outcomes and readers met by every example
+OWED_COVERAGE = set()
+
+
+def random_factor(rng):
+    factor = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return factor / np.linalg.norm(factor)
+
+
+def owing_start(rng, layout):
+    """One block: a random core over ``total - 4`` or ``total - 5`` qubits
+    (a product joined by a CNOT chain), two or three qubits in random
+    non-ket factors and two basis kets.  Returns the state, its amplitudes
+    computed without the simulator, and the three qubit lists."""
+    total = layout.total
+    qubits = [int(q) for q in rng.permutation(total)]
+    factored = qubits[:2 + int(rng.integers(2)) * (total > 7)]
+    kets, core = qubits[len(factored):len(factored) + 2], sorted(qubits[len(factored) + 2:])
+    factors = {q: random_factor(rng) for q in (*core, *factored)}
+    state = StateVector.product(layout, factors)
+    reference = np.ones(1)
+    for qubit in range(total):
+        reference = np.kron(reference, factors.get(qubit, (1.0, 0.0)))
+    gates = [MCX((), k) for k in kets if rng.integers(2)]
+    gates += [MCX(((a, 1),), b) for a, b in zip(core, core[1:])]
+    for gate in gates:
+        state.apply(gate)
+        reference = reference_apply(total, gate, reference)
+    state.norm()  # the state owes nothing
+    assert state._stored[0].axes == tuple(core)
+    return state, reference, core, factored, kets
+
+
+def owing_hadamards(rng, kind, block, core, factored):
+    """Hadamard targets of one kind on a block that owes a run."""
+    mask, target, _ = block.run
+    if kind == "on an owed control":
+        pool = [q for q in block.owed if q != target]
+    elif kind == "on a core run qubit":
+        pool = [q for q in core if mask >> q & 1 or q == target]
+    else:
+        pool = [q for q in (*core, *factored) if not mask >> q & 1 and q != target]
+    if not pool:
+        return []
+    if rng.integers(2):  # every one of them, as the collapse stage does
+        return pool
+    return [int(q) for q in rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)]
+
+
+def owing_split(rng, block, core, target, through):
+    """Controls for an MCX onto the basis ket ``target`` that split the
+    block: with ``through``, they fix every layer qubit, every owed qubit
+    and the run's target, and maybe one more core qubit; otherwise a random
+    handful of core and owed qubits."""
+    pool = [q for q in (*core, *block.owed) if q != target]
+    if through:
+        fixed = {*block.layer, *block.owed}
+        if block.run:
+            fixed.add(block.run[1])
+        spare = [q for q in core if q not in fixed]
+        if spare and rng.integers(2):
+            fixed.add(int(rng.choice(spare)))
+    else:
+        fixed = set(int(q) for q in rng.choice(pool, size=int(rng.integers(1, min(len(pool), 4) + 1)), replace=False))
+    return pattern_of(rng, sorted(fixed))
+
+
+def owing_features(block, pattern):
+    """Which parts of the read-through formula a split through a run uses."""
+    mask, _, _ = block.run
+    fixed = {q for q, _ in pattern}
+    features = set()
+    if any(mask >> q & 1 for q in block.owed if q != block.run[1]):
+        features.add("run over owed controls")
+    if any(q not in block.layer for q in block.owed):
+        features.add("owed control outside the layer")
+    core_controls = [q for q in block.axes if mask >> q & 1]
+    if any(q in fixed for q in core_controls):
+        features.add("core control fixed by the split")
+    if any(q not in fixed for q in core_controls):
+        features.add("core control left free")
+    return features
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def check_owing_blocks_against_reference(data):
+    layout = data.draw(st.sampled_from([RegisterLayout(1, 1), RegisterLayout(2, 1)]))
+    total = layout.total
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    state, reference, core, factored, kets = owing_start(rng, layout)
+    start, gates, features = state.copy(), [], set()
+    # a run onto a core qubit, or now and then onto a factored one, over
+    # owed controls, core controls and maybe a basis ket
+    target = int(rng.choice(factored)) if rng.integers(6) == 0 else int(rng.choice(core))
+    pool = [q for q in (*factored, *core, kets[1]) if q != target]
+    controls = sorted(int(q) for q in rng.choice(pool, size=int(rng.integers(1, 5)), replace=False))
+    patterns = run_patterns(rng, len(controls), int(rng.integers(1, 7)))
+    if any(patterns.count(bits) % 2 == 0 for bits in patterns):
+        features.add("cancel")
+    gates += [MCX(tuple(zip(controls, bits)), target) for bits in patterns]
+    util.apply_all(state, gates)
+    block = state._stored[0]
+    assert block.run is not None
+    if target in block.owed:
+        features.add("owed target")
+    # Hadamards as in the collapse stage, or any kinds in any order
+    collapse = st.just(["on an owed control", "outside the run"])
+    for kind in data.draw(st.one_of(collapse, st.lists(st.sampled_from(OWED_HADAMARDS), max_size=3))):
+        if block.run is None:
+            break
+        run = [Hadamard(q) for q in owing_hadamards(rng, kind, block, core, factored)]
+        if run:
+            features.add(kind)
+            util.apply_all(state, run)
+            gates += run
+    # one or two splits onto the basis kets; the second one may repeat the first
+    through = data.draw(st.booleans())
+    pattern = owing_split(rng, block, core, kets[0], through)
+    splits = [MCX(pattern, kets[0])]
+    if rng.integers(2) and kets[1] not in controls:
+        splits.append(MCX(pattern if rng.integers(2) else owing_split(rng, block, core, kets[1], through), kets[1]))
+    for split in splits:
+        owed, layered = block.run is not None, bool(block.layer)
+        if owed and through:
+            features |= owing_features(block, split.controls)
+        blocks = len(state._stored)
+        state.apply(split)
+        gates.append(split)
+        if len(state._stored) > blocks and not state._stored[-1].core.any():
+            features.add("zero block")
+        elif owed and block.run is not None:
+            features.add("through a run and a layer" if layered else "through a run alone")
+        elif owed:
+            features.add("flushes first")
+    for gate in gates:
+        reference = reference_apply(total, gate, reference)
+    reader = data.draw(st.sampled_from(RUN_READERS))
+    if reader == "postselect":
+        # onto the split targets, as the terminal measurement does, or any pair
+        qubits = kets if rng.integers(2) else rng.choice(total, size=2, replace=False)
+        pattern = pattern_of(rng, qubits)
+        mask = np.logical_and.reduce([basis_mask(layout, q, bit) for q, bit in pattern])
+        weight = float(np.sum(np.abs(reference[mask]) ** 2))
+        if weight >= 1e-2:  # renormalizing a faint branch magnifies rounding
+            owing = [b for b in state._stored if b.run is not None and rules_out(b, pattern)]
+            source = state
+            state, probability = source.postselect(pattern)
+            assert abs(probability - weight) < 1e-12
+            assert all(b.run is not None for b in owing)  # dropped without a flush
+            assert np.max(np.abs(source.amplitudes - reference)) < 1e-12
+            reference = np.where(mask, reference, 0.0) / np.sqrt(weight)
+    else:
+        twin = util.apply_all(start.copy(), gates)
+        state, reference, _ = read_run(reader, rng, state, reference, False, twin)
+    assert np.max(np.abs(state.amplitudes - reference)) < 1e-12
+    OWED_COVERAGE.update((*features, reader))
+
+
+def test_owing_blocks_match_reference():
+    OWED_COVERAGE.clear()
+    check_owing_blocks_against_reference()
+    assert OWED_COVERAGE >= {
+        "run over owed controls",
+        "owed target",
+        "owed control outside the layer",
+        "core control fixed by the split",
+        "core control left free",
+        "cancel",
+        *OWED_HADAMARDS,
+        *OWED_SPLITS,
+        *RUN_READERS,
     }
 
 
