@@ -179,19 +179,26 @@ class _StageChecker:
 
 
 def _verify(plan, run, reconstruction):
-    """The probability, disentangle and output checks."""
+    """The probability, disentangle and output checks; ``run`` is None when
+    post-selection found no support, which leaves no output state."""
     formula = naive_success_probability(plan)
+    measured = run.probability if run is not None else 0.0
     checks = {
         "probability": {
-            "pass": bool(abs(run.probability - formula) <= 1e-12),
+            "pass": bool(abs(measured - formula) <= 1e-12),
             "formula": formula,
-            "measured": run.probability,
+            "measured": measured,
         }
     }
-    try:
-        output = run.final.extract(run.final.layout.system)
-    except EntanglementError as exc:
-        checks["disentangle"] = {"pass": False, "detail": str(exc)}
+    failure = "post-selection left no state"
+    if run is not None:
+        try:
+            output = run.final.extract(run.final.layout.system)
+            failure = None
+        except EntanglementError as exc:
+            failure = str(exc)
+    if failure is not None:
+        checks["disentangle"] = {"pass": False, "detail": failure}
         checks["output"] = {"pass": False, "detail": "no output state to compare"}
         return checks
     overlap = abs(np.vdot(reconstruction.amplitudes, output)) ** 2
@@ -242,7 +249,11 @@ def main(argv=None) -> int:
     checks: dict[str, dict] = {}
     try:
         checker = _StageChecker(plan, checks) if args.stage_check else None
-        run = simulate(circuit, on_stage=checker)
+        try:
+            run = simulate(circuit, on_stage=checker)
+        except ValueError as exc:  # post-selection found no support
+            run = None
+            checks["measure"] = {"pass": False, "detail": str(exc)}
         simulated = time.perf_counter()
         reconstruction = reconstruct(plan)
         checks.update(_verify(plan, run, reconstruction))
@@ -305,7 +316,7 @@ def main(argv=None) -> int:
     print(f"fidelity target|plan: {report['fidelity']['target_vs_plan']!r}")
     print(f"fidelity plan|output: {report['fidelity']['plan_vs_output']!r}")
     print(
-        f"success probability: measured {run.probability!r} "
+        f"success probability: measured {checks['probability']['measured']!r} "
         f"(closed form {checks['probability']['formula']!r})"
     )
     if args.export:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .layout import Pattern, control_pattern
 
@@ -60,7 +60,8 @@ class MCX:
         return Pattern(self.mask, self.bits).pairs
 
 
-Gate = Union[Hadamard, PhaseK, MCX]
+# a types.UnionType, so isinstance(gate, Gate) runs in C
+Gate = Hadamard | PhaseK | MCX
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:

@@ -59,14 +59,15 @@ the block untouched, and one that always matches is dropped.  With no
 core control left, the target's factor flips in place; otherwise the
 slice the core controls select is copied into a new block, with those
 controls and the flipped target as basis factors, and zeroed in place,
-at a cost of O(slice) when the block owes nothing.  The target becomes a
-key qubit.  Invariant: any two blocks differ on a key qubit that is a
-basis factor in both, so blocks have disjoint support, and norms,
-probabilities and post-selection weights add over blocks.  Every other gate runs block by
-block, with factored controls resolved as above so that keys stay
-factors.  The exception is a Hadamard, phase or MCX
-whose target is a key qubit: it first sums the blocks back into one core
-over the union of their axes (merge-back).
+at a cost of O(slice) when the block owes nothing; a slice that a
+recorded zeroing covers moves nothing.  Invariant: any two blocks differ
+on a qubit that is |0> in one, |1> in the other and a basis factor in
+every block, so blocks have disjoint support, and norms, probabilities
+and post-selection weights add over blocks.  Every gate runs block by
+block, with factored controls resolved as above, except one whose target
+tells blocks apart, a |0> or |1> factor in every block but not the same
+in all: it first sums the blocks back into one core over the union of
+their axes (merge-back).
 
 Post-selection slices each block's core, skips a block that one of its
 factors rules out without reading its core or applying its layer, and
@@ -89,7 +90,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, EntanglementError
-from .gates import MCX, Gate, Hadamard, PhaseK
+from .gates import MCX, Gate, Hadamard
 from .layout import Pattern, RegisterLayout, control_pattern
 
 Array = np.ndarray
@@ -106,11 +107,6 @@ _SQRT_HALF = 2.0 ** -0.5
 _SYLVESTER = [np.ones((1, 1))]
 for _ in range(4):
     _SYLVESTER.append(np.kron(_SYLVESTER[-1], [[1.0, 1.0], [1.0, -1.0]]))
-
-# largest residual bound ``extract`` answers with one power step: the step
-# leaves at most about bound**3 infidelity against the top eigenvector, so
-# up to 1e-5 its answer is the eigendecomposition's to within 1e-15
-_POWER_STEP_BOUND = 1e-5
 
 # the |0> and |1> factors, shared by every state that uses them: a factor
 # is a basis ket exactly when it is one of these two objects
@@ -422,9 +418,9 @@ class _Block:
         through the run (:meth:`through_run`) and scaled by
         2**(-|layer|/2).  That costs O(core), and the block still owes all
         of it, with the slice left behind recorded for zeroing last.  A
-        slice inside a recorded one is an exact zero.  Any other split
-        flushes the block first, and then copies the slice and zeroes it
-        in place.
+        slice inside a recorded one is zero already, so nothing moves.  Any
+        other split flushes the block first, and then copies the slice and
+        zeroes it in place.
         """
         pattern = self.resolved(pattern)
         if pattern is None:
@@ -434,15 +430,15 @@ class _Block:
             self.factors[target] = flipped
             return None
         mask, bits = pattern
+        met = [zmask for zmask, zbits in self.zeroed if not (zbits ^ bits) & zmask & mask]
+        if any(not zmask & ~mask for zmask in met):
+            return None
         factors = dict(self.factors)
         for qubit, bit in pattern.pairs:
             factors[qubit] = _KETS[bit]
         factors[target] = flipped
         # owed qubits join the core at the flush, so they count as core axes
         axes = tuple(q for q in sorted((*self.axes, *self.owed)) if not mask >> q & 1)
-        met = [zmask for zmask, zbits in self.zeroed if not (zbits ^ bits) & zmask & mask]
-        if any(not zmask & ~mask for zmask in met):
-            return _Block(np.zeros((2,) * len(axes), np.complex128), axes, factors)
         run = self.run
         if met or any(not mask >> q & 1 for q in (*self.layer, *self.owed)) or run and (
             run[1] in self.owed or not mask >> run[1] & 1
@@ -507,24 +503,18 @@ class StateVector:
     """Amplitudes over a :class:`RegisterLayout`: a sum of disjoint blocks,
     each a dense core times qubit factors."""
 
-    __slots__ = ("layout", "_stored", "_keys")
+    __slots__ = ("layout", "_stored")
 
-    def __init__(
-        self,
-        layout: RegisterLayout,
-        blocks: list[_Block],
-        keys: frozenset[int] = frozenset(),
-    ):
+    def __init__(self, layout: RegisterLayout, blocks: list[_Block]):
         self.layout = layout
         self._stored = blocks
-        self._keys = keys
 
     @property
     def _blocks(self) -> list[_Block]:
         """The blocks, each flushed: its pending run, layer and zeroing paid.
 
         Every read and write of the blocks goes through here, so none
-        sees a stale state, except :meth:`_hadamard`, :meth:`_mcx`,
+        sees a stale state, except Hadamard and MCX gates,
         :meth:`probability` and :meth:`postselect`: they reach a core
         only through ``_Block`` methods that apply what it owes as they
         need.
@@ -593,7 +583,7 @@ class StateVector:
         return cls(layout, [_Block(amplitudes.reshape((2,) * total), tuple(range(total)), {})])
 
     def copy(self) -> "StateVector":
-        return StateVector(self.layout, [block.copy() for block in self._blocks], self._keys)
+        return StateVector(self.layout, [block.copy() for block in self._blocks])
 
     # ------------------------------------------------------------------
     # inspection
@@ -607,12 +597,11 @@ class StateVector:
         merged it is a view of the live core instead: copy it to keep a
         snapshot.  Hadamards applied after such a view was taken show in
         it only after the next read through the state.  A state of
-        several blocks sums them into a new vector, never a view.
+        several blocks is first summed into one, as in :meth:`extract`,
+        so it is a new vector, never a view.
         """
-        tensor = None
-        for block in self._blocks:
-            _, full = block.merged(block.factors)
-            tensor = full if tensor is None else tensor + full
+        block = self._joined()
+        _, tensor = block.merged(block.factors)
         flat = tensor.reshape(-1)
         flat.flags.writeable = False
         return flat
@@ -689,14 +678,22 @@ class StateVector:
         A Hadamard on a core qubit takes effect at the next read of the
         state, together with any others pending.
         """
-        if isinstance(gate, MCX):
-            self._mcx((gate.mask, gate.bits), gate.target)
-        elif isinstance(gate, Hadamard):
-            self._hadamard(gate.target)
-        elif isinstance(gate, PhaseK):
-            self._phase(gate.target, gate.k)
-        else:
+        if not isinstance(gate, Gate):
             raise TypeError(f"not a gate: {gate!r}")
+        target = gate.target
+        self._check_qubit(target)
+        if isinstance(gate, MCX):
+            if gate.mask >> self.layout.total:
+                self._check_qubit(gate.mask.bit_length() - 1)
+            self._mcx((gate.mask, gate.bits), target)
+        elif isinstance(gate, Hadamard):
+            for block in self._merge_back(target):
+                block.hadamard(target)
+        else:
+            self._merge_back(target)
+            rotation = np.exp(2j * np.pi / (1 << gate.k))
+            for block in self._blocks:
+                block.phase(target, rotation)
         return self
 
     def apply_projector_terms(
@@ -774,8 +771,7 @@ class StateVector:
             for qubit, bit in pattern.pairs:
                 factors[qubit] = _KETS[bit]
             blocks.append(_Block(core, tuple(q for q in block.axes if not pattern.mask >> q & 1), factors))
-        keys = self._keys if len(blocks) > 1 else frozenset()
-        return StateVector(self.layout, blocks, keys), probability
+        return StateVector(self.layout, blocks), probability
 
     def extract(self, qubits: Sequence[int], tol: float = 1e-10) -> Array:
         """Read the state of a subsystem that must be unentangled.
@@ -796,19 +792,12 @@ class StateVector:
 
         Notes
         -----
-        A state of several blocks is first summed into one.  With M the
-        picked-by-rest matrix of the core, the residual is
-        1 - lambda_max / trace of the Gram matrix G = M M^H.  For any unit
-        v, lambda_max >= |v^H M|**2, so with v the heaviest column of M,
-        normalised, ``bound = 1 - |v^H M|**2 / trace`` can only sit at or
-        above the residual.  When the bound is within ``tol`` (and within
-        1e-5, see ``_POWER_STEP_BOUND``) the result is M (v^H M)^H = G v
-        normalised: one power step, exact for a product state.  That
-        costs three passes over the core (column norms, the overlap row
-        and one matrix-vector product) and builds no Gram matrix.
-        Otherwise G is formed and fully diagonalised, which decides
-        exactly.  The fast path never accepts a state the
-        eigendecomposition would reject.
+        A state of several blocks is first summed into one.  When the
+        picked qubits are the whole core, the result is the core,
+        normalised.  Otherwise, with M the picked-by-rest matrix of the
+        core, the Gram matrix G = M M^H is formed and fully diagonalised:
+        the residual is 1 - lambda_max / trace(G), and the result is the
+        top eigenvector.
 
         Raises
         ------
@@ -839,22 +828,10 @@ class StateVector:
                 raise ValueError("cannot extract from the zero vector")
             return vec / scale
 
-        weights = np.einsum("ij,ij->j", matrix.real, matrix.real)
-        weights += np.einsum("ij,ij->j", matrix.imag, matrix.imag)
-        trace = float(weights.sum())
-        if trace == 0.0:
-            raise ValueError("cannot extract from the zero vector")
-        heaviest = int(np.argmax(weights))
-        column = matrix[:, heaviest] / np.sqrt(weights[heaviest])
-        overlap = column.conj() @ matrix
-        bound = 1.0 - float(np.vdot(overlap, overlap).real) / trace
-        if bound <= min(tol, _POWER_STEP_BOUND):
-            vec = matrix @ overlap.conj()
-            return vec / np.linalg.norm(vec)
-
-        # the bound failed or is too loose for one power step: decide exactly
         gram = matrix @ matrix.conj().T
         trace = float(np.real(np.trace(gram)))
+        if trace == 0.0:
+            raise ValueError("cannot extract from the zero vector")
         evals, evecs = np.linalg.eigh(gram)
         residual = 1.0 - float(evals[-1]) / trace
         if residual > tol:
@@ -889,39 +866,28 @@ class StateVector:
             core = tensor if core is None else core + tensor
         return _Block(core, axes, shared)
 
-    def _join(self) -> None:
-        self._stored = [self._joined()]
-        self._keys = frozenset()
-
-    def _hadamard(self, target: int) -> None:
-        self._check_qubit(target)
-        if target in self._keys:
-            self._join()
-        for block in self._stored:
-            block.hadamard(target)
-
-    def _phase(self, target: int, k: int) -> None:
-        self._check_qubit(target)
-        if target in self._keys:
-            self._join()
-        rotation = np.exp(2j * np.pi / (1 << k))
-        for block in self._blocks:
-            block.phase(target, rotation)
+    def _merge_back(self, target: int) -> list[_Block]:
+        """The stored blocks, first summed into one if ``target`` tells
+        them apart: a |0> or |1> factor in every block, but not the same
+        one in all."""
+        blocks = self._stored
+        if len(blocks) > 1:
+            kets = [block.factors.get(target) for block in blocks]
+            if all(k is _ZERO or k is _ONE for k in kets) and any(k is not kets[0] for k in kets):
+                self._stored = blocks = [self._joined()]
+        return blocks
 
     def _mcx(self, pattern: tuple[int, int], target: int) -> None:
         """MCX with controls ``pattern``, a checked (mask, bits) pair that
-        does not fix ``target``."""
-        self._check_qubit(target)
-        if pattern[0] >> self.layout.total:
-            self._check_qubit(pattern[0].bit_length() - 1)
-        if target in self._keys:
-            self._join()
+        does not fix ``target``, a checked qubit."""
         blocks = self._stored
         if len(blocks) == 1:
             factor = blocks[0].factors.get(target)
             if factor is not _ZERO and factor is not _ONE:
                 blocks[0].toggle(pattern, target)
                 return
+        else:
+            blocks = self._merge_back(target)
         if not all(block.splits(pattern, target) for block in blocks):
             for block in blocks:
                 resolved = block.resolved(pattern)
@@ -932,7 +898,6 @@ class StateVector:
             new = block.split(pattern, target)
             if new is not None:
                 blocks.append(new)
-                self._keys |= {target}
 
 
 def align_phase(vector: Array, reference: Array) -> Array:

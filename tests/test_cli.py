@@ -19,6 +19,7 @@ from bitprep import (
     simulate,
 )
 from bitprep.cli import main, parse_target_file
+from bitprep.statevector import _Block
 
 ROOT13 = float(np.sqrt(13.0))
 
@@ -329,6 +330,23 @@ def test_verification_failure_is_exit_1(tmp_path, capsys, monkeypatch):
     assert report["verification"]["passed"] is False
     assert report["verification"]["checks"]["output"]["pass"] is False
     assert report["fidelity"]["plan_vs_output"] < 0.99
+
+
+def test_post_selection_without_support_fails_measure(tmp_path, capsys, monkeypatch):
+    # the label split reads an all-zero slice, so the kept branch is empty
+    real = _Block.through_run
+    monkeypatch.setattr(_Block, "through_run", lambda *args: real(*args) * 0.0)
+    target = write(tmp_path, "t.target", WORKED_TARGET)
+    report_path = tmp_path / "empty.json"
+    code = main([str(target), "--report", str(report_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "verification failed at measure: post-selection pattern has no support" in err
+    report = json.loads(report_path.read_text())
+    checks = report["verification"]["checks"]
+    assert [name for name, check in checks.items() if check["pass"]] == []
+    assert report["success_probability"]["measured"] == 0.0
+    assert report["fidelity"]["plan_vs_output"] is None
 
 
 @pytest.mark.parametrize("index, stage", list(enumerate((*STAGE_NAMES, "measure"))))

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from bitprep import TargetState, decompose, run_projector_path, simulate
+from bitprep.statevector import _KETS
 
 # two-component state with a quarter-turn phase split; quantizes exactly at m=2
 WORKED_AMPLITUDES = np.array([-2j, -3.0]) / np.sqrt(13.0)
@@ -141,6 +142,18 @@ def gram_top_eigenpair(state, picked):
     gram = matrix @ matrix.conj().T
     evals, evecs = np.linalg.eigh(gram)
     return 1.0 - evals[-1] / np.trace(gram).real, evecs[:, -1]
+
+
+def key_qubits(state) -> set[int]:
+    """The qubits that tell a state's blocks apart, by the rule a gate's
+    merge-back follows: with two or more blocks, each qubit that is a |0>
+    or |1> factor in every block, but not the same one in all."""
+    keys = set()
+    for qubit in range(state.layout.total):
+        kets = [block.factors.get(qubit) for block in state._stored]
+        if all(any(k is ket for ket in _KETS) for k in kets) and any(k is not kets[0] for k in kets):
+            keys.add(qubit)
+    return keys
 
 
 def pairwise_overlap(patterns) -> bool:
