@@ -3,7 +3,7 @@
 Target file grammar (one directive per line, ``#`` comments and blank
 lines ignored)::
 
-    n 1                  qubit count, required
+    n 1                  qubit count, required (ASCII digits, as m and --m)
     m 2                  precision, optional (the --m flag wins)
     unnormalized         accept input that is not unit norm
     polar 0.5547 0.75    one entry per basis label: magnitude, turns
@@ -48,6 +48,13 @@ _REPORT_MAGIC = "bitprep-report 1"
 _CHECK_ORDER = (*STAGE_NAMES, "measure", "probability", "disentangle", "output")
 
 
+def _integer(token: str, where: str) -> int:
+    """``token`` read as ASCII digits only, with no sign or underscore, as in circuit text."""
+    if not (token.isascii() and token.isdigit()):
+        raise TargetFileError(f"{where}: expected integer, got {token!r}")
+    return int(token)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitprep",
@@ -55,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate it, and verify the outcome.",
     )
     parser.add_argument("target", help="target-state file (see module docstring)")
-    parser.add_argument("--m", type=int, default=None, help="precision bits; overrides the file's m")
+    parser.add_argument("--m", default=None, help="precision bits; overrides the file's m")
     parser.add_argument("--export", metavar="PATH", default=None, help="write the circuit text here")
     parser.add_argument("--report", metavar="PATH", default=None, help="write the JSON run report here")
     parser.add_argument(
@@ -96,12 +103,7 @@ def parse_target_file(text: str) -> tuple[int, int | None, TargetState]:
         if word in ("n", "m"):
             if len(tokens) != 2:
                 raise TargetFileError(f"line {lineno}: {word} takes one integer")
-            try:
-                value = int(tokens[1], 10)
-            except ValueError:
-                raise TargetFileError(
-                    f"line {lineno}: expected integer, got {tokens[1]!r}"
-                ) from None
+            value = _integer(tokens[1], f"line {lineno}")
             if word == "n":
                 if n is not None:
                     raise TargetFileError(f"line {lineno}: n declared twice")
@@ -159,8 +161,9 @@ def parse_target_file(text: str) -> tuple[int, int | None, TargetState]:
 
 class _StageChecker:
     """``--stage-check``'s ``on_stage`` hook: checks each stage against the projector
-    path and ``predict_stage`` as it is reached; ``seconds`` sums its own time.  Not a
-    closure timing itself, whose self-reference would keep the projector state alive."""
+    path and ``predict_stage``, and its norm against 1, as it is reached; ``seconds``
+    sums its own time.  Not a closure timing itself, whose self-reference would keep
+    the projector state alive."""
 
     def __init__(self, plan, checks):
         self.plan, self.checks, self.seconds = plan, checks, 0.0
@@ -170,10 +173,12 @@ class _StageChecker:
         started = time.perf_counter()
         path_dev = state.max_difference(next(self.reference))
         predicted_dev = predict_stage(self.plan, _CHECK_ORDER.index(name) + 1).max_deviation(state)
+        norm_dev = abs(state.norm() - 1.0)
         self.checks[name] = {
-            "pass": bool(path_dev <= 1e-12 and predicted_dev <= 1e-12),
+            "pass": all(dev <= 1e-12 for dev in (path_dev, predicted_dev, norm_dev)),
             "path_deviation": path_dev,
             "prediction_deviation": predicted_dev,
+            "norm_deviation": norm_dev,
         }
         self.seconds += time.perf_counter() - started
 
@@ -222,7 +227,7 @@ def main(argv=None) -> int:
     try:
         text = raw.decode("utf-8")
         n, file_m, target = parse_target_file(text)
-        m = args.m if args.m is not None else file_m
+        m = _integer(args.m, "--m") if args.m is not None else file_m
         if m is None:
             raise TargetFileError("no precision given: declare m in the file or pass --m")
         if m < 1:

@@ -29,8 +29,8 @@ the flush point for every reader and every other gate, so none sees a
 stale state.  Two paths read less and leave the layer pending: a split
 whose controls fix every pending qubit reads its slice as a signed sum,
 through a pending run too (see ``_Block.split``), and post-selection
-and ``probability`` drop a block that a basis factor rules out before
-applying its layer.
+and ``probability`` drop a block that one of its factors rules out
+before applying its layer.
 
 A control pattern is a (mask, bits) pair of ints, bit q for qubit q (see
 ``layout.Pattern``).  An MCX that does not split (see below) is deferred
@@ -58,16 +58,16 @@ target.  In each block a factored control that can never match leaves
 the block untouched, and one that always matches is dropped.  With no
 core control left, the target's factor flips in place; otherwise the
 slice the core controls select is copied into a new block, with those
-controls and the flipped target as basis factors, and zeroed in place,
-at a cost of O(slice) when the block owes nothing; a slice that a
-recorded zeroing covers moves nothing.  Invariant: any two blocks differ
-on a qubit that is |0> in one, |1> in the other and a basis factor in
-every block, so blocks have disjoint support, and norms, probabilities
-and post-selection weights add over blocks.  Every gate runs block by
-block, with factored controls resolved as above, except one whose target
-tells blocks apart, a |0> or |1> factor in every block but not the same
-in all: it first sums the blocks back into one core over the union of
-their axes (merge-back).
+controls and the flipped target as basis factors, and recorded for
+zeroing at the old block's next flush; a slice that a recorded zeroing
+covers moves nothing.  Invariant: any two blocks differ on a qubit that
+is |0> in one, |1> in the other and a basis factor in every block, so
+blocks have disjoint support, and norms, probabilities and
+post-selection weights add over blocks.  Every gate runs block by block,
+with factored controls resolved as above, except one whose target tells
+blocks apart, a |0> or |1> factor in every block but not the same in
+all: it first sums the blocks back into one core over the union of their
+axes (merge-back).
 
 Post-selection slices each block's core, skips a block that one of its
 factors rules out without reading its core or applying its layer, and
@@ -183,8 +183,7 @@ class _Block:
     to be merged into the core just before the run's swap.  Then a
     Hadamard on each qubit in ``layer``: a core qubit outside the run, or
     an owed control of the run.  Last, a zero on the slice of each
-    :class:`Pattern` in ``zeroed``; ``zeroed`` is empty while the block
-    owes neither a run nor a layer.
+    :class:`Pattern` in ``zeroed``: every slice :meth:`split` moves out.
     """
 
     __slots__ = ("core", "axes", "factors", "layer", "zeroed", "run", "owed")
@@ -203,9 +202,9 @@ class _Block:
         return _Block(self.core.copy(), self.axes, dict(self.factors))
 
     def norm(self) -> float:
-        norm = float(np.linalg.norm(self.core))
+        norm = math.sqrt(np.vdot(self.core, self.core).real)
         for factor in self.factors.values():
-            norm *= float(np.linalg.norm(factor))
+            norm *= math.sqrt(np.vdot(factor, factor).real)
         return norm
 
     def merged(self, qubits: Iterable[int]) -> tuple[tuple[int, ...], Array]:
@@ -263,10 +262,10 @@ class _Block:
         """The core slice of a pattern's branch, the amplitude its fixed
         factored qubits contribute, and the branch's squared norm; None,
         without reading the core or paying what the block owes, when a
-        basis factor contradicts it."""
-        mask, bits = pattern
-        if any(mask >> q & 1 and f is _KETS[1 - (bits >> q & 1)] for q, f in self.factors.items()):
+        factor rules it out by :meth:`resolved`'s rule."""
+        if self.resolved(pattern) is None:
             return None
+        mask, bits = pattern
         self.flush()
         amplitude = 1.0
         weight = 1.0
@@ -417,10 +416,9 @@ class _Block:
         layer qubits, signed by their bits (:func:`_signed_sum`), read
         through the run (:meth:`through_run`) and scaled by
         2**(-|layer|/2).  That costs O(core), and the block still owes all
-        of it, with the slice left behind recorded for zeroing last.  A
-        slice inside a recorded one is zero already, so nothing moves.  Any
-        other split flushes the block first, and then copies the slice and
-        zeroes it in place.
+        of it.  Any other split flushes the block first and copies the
+        slice.  Either way the slice is recorded for zeroing at the next
+        flush.  A slice inside a record is zero already, so nothing moves.
         """
         pattern = self.resolved(pattern)
         if pattern is None:
@@ -453,10 +451,7 @@ class _Block:
             core = self.through_run(core, pattern, axes)
         if self.layer:
             core *= 2.0 ** (-0.5 * len(self.layer))
-        if self.layer or run:
-            self.zeroed.append(pattern)
-        else:
-            matched[...] = 0.0
+        self.zeroed.append(pattern)
         return _Block(core, axes, factors)
 
     def through_run(self, summed: Array, pattern: Pattern, axes: tuple[int, ...]) -> Array:

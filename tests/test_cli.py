@@ -74,6 +74,12 @@ def test_parse_unnormalized_flag():
         ("n 1\npolar 1 0\npolar inf 0\n", "finite"),
         ("n 1\nteleport\npolar 1 0\npolar 0 0\n", "unknown directive"),
         ("n x\npolar 1 0\npolar 0 0\n", "integer"),
+        ("n 1_0\npolar 1 0\npolar 0 0\n", "expected integer, got '1_0'"),
+        ("n +1\npolar 1 0\npolar 0 0\n", r"expected integer, got '\+1'"),
+        ("n \u0661\npolar 1 0\npolar 0 0\n", "expected integer, got '\u0661'"),
+        ("n 1\nm 1_0\npolar 1 0\npolar 0 0\n", "expected integer, got '1_0'"),
+        ("n 1\nm +3\npolar 1 0\npolar 0 0\n", r"expected integer, got '\+3'"),
+        ("n 1\nm \u0663\npolar 1 0\npolar 0 0\n", "expected integer, got '\u0663'"),
         ("n 1\npolar 0.9 0\npolar 0.1 0\n", "norm"),
         ("n 1\nunnormalized now\npolar 1 0\npolar 0 0\n", "no arguments"),
     ],
@@ -224,6 +230,13 @@ def test_zero_precision_flag_is_exit_2(tmp_path, capsys):
     target = write(tmp_path, "t.target", WORKED_TARGET)
     assert main([str(target), "--m", "0"]) == 2
     assert "m must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])
+def test_precision_flag_takes_ascii_digits_only(tmp_path, capsys, token):
+    target = write(tmp_path, "t.target", WORKED_TARGET)
+    assert main([str(target), "--m", token]) == 2
+    assert capsys.readouterr().err == f"error: --m: expected integer, got {token!r}\n"
 
 
 def test_underflow_is_exit_2(tmp_path, capsys):

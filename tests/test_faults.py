@@ -1,8 +1,11 @@
 """Fault injection: perturb one statevector kernel at a time and check that
-the CLI's verification refuses the run wherever the kernel ran.
+the CLI's verification refuses the run wherever the kernel ran, and at
+which check it fails first.
 
 Each fault wraps the real kernel, records every call that can change the
 state, and perturbs it by about 1e-3, far past every tolerance."""
+
+import json
 
 import numpy as np
 import pytest
@@ -81,6 +84,22 @@ FAULTS = {
 }
 MODES = {"plain": [], "stage-check": ["--stage-check"]}
 
+# the first check that fails, for each pair whose run reaches the kernel
+FIRST_FAILURE = {
+    ("swap", "plain"): "measure",
+    ("swap", "stage-check"): "amplitude",
+    ("through_run", "plain"): "probability",
+    ("_signed_sum", "plain"): "probability",
+    ("_signed_sum", "stage-check"): "label",
+    ("_transform", "stage-check"): "collapse",
+    ("merged", "plain"): "probability",
+    ("merged", "stage-check"): "amplitude",
+    ("gather", "stage-check"): "superpose",
+    ("flush zeroing", "stage-check"): "label",
+    ("postselect", "plain"): "probability",
+    ("postselect", "stage-check"): "probability",
+}
+
 # pairs whose run never reaches the kernel: a plain run transforms no core
 # and gathers nothing, post-selection drops the block that owes a zeroing,
 # and the stage checks flush every stage, so the label split never reads
@@ -90,13 +109,13 @@ UNREACHED = {
     ("_transform", "plain"),
     ("gather", "plain"),
     ("flush zeroing", "plain"),
-    ("flush zeroing", "stage-check"),
 }
 
 
 def faulty_run(tmp_path, monkeypatch, kernel, mode):
     """Exit code of a CLI run on a seed-1 (3, 3) target with ``kernel``
-    perturbed, and how often the fault fired."""
+    perturbed, and how often the fault fired; the run's report is
+    ``report.json`` in ``tmp_path``."""
     target = util.random_target(np.random.default_rng(1), 3)
     entries = "".join(
         f"polar {float(a)!r} {float(t)!r}\n" for a, t in zip(target.magnitudes, target.phase_turns)
@@ -106,7 +125,7 @@ def faulty_run(tmp_path, monkeypatch, kernel, mode):
     owner, name, fault = FAULTS[kernel]
     ran = []
     monkeypatch.setattr(owner, name, fault(getattr(owner, name), ran))
-    return main([str(path), *MODES[mode]]), len(ran)
+    return main([str(path), "--report", str(tmp_path / "report.json"), *MODES[mode]]), len(ran)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -118,7 +137,19 @@ def test_a_kernel_fault_fails_verification(tmp_path, capsys, monkeypatch, kernel
     else:
         assert ran > 0
         assert code == 1
-        assert "verification failed at " in capsys.readouterr().err
+        failed = capsys.readouterr().err.split("verification failed at ", 1)[1]
+        assert failed.split(":", 1)[0].strip() == FIRST_FAILURE[kernel, mode]
+
+
+def test_stage_check_catches_a_zeroing_fault_by_the_norm(tmp_path, monkeypatch):
+    # the projector path shares the faulty flush and the prediction reads
+    # only the encoding branch, so only the norm shows the leaked slice
+    code, _ = faulty_run(tmp_path, monkeypatch, "flush zeroing", "stage-check")
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    label = report["verification"]["checks"]["label"]
+    assert code == 1
+    assert label["norm_deviation"] > 1e-12
+    assert label["path_deviation"] <= 1e-12 and label["prediction_deviation"] <= 1e-12
 
 
 @pytest.mark.xfail(strict=True, reason="the stage checks flush every stage, so a checked "

@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bitprep import (
     reconstruct,
     simulate,
 )
+from bitprep.cli import _StageChecker
 from bitprep.statevector import _KETS, _Block
 
 SMALL = RegisterLayout(1, 1)  # 7 qubits, 128 amplitudes
@@ -586,6 +588,23 @@ def test_label_stage_leaves_two_blocks():
     blocks = {}
     simulate(compile_circuit(plan), on_stage=lambda name, state: blocks.setdefault(name, len(state._stored)))
     assert blocks["label"] == 2
+
+
+def test_checked_label_stage_leaves_two_blocks():
+    # the stage checks read, and so flush, every stage, so the first label
+    # gate's block owes nothing; it still records its slice for zeroing, and
+    # the second gate's slice lies inside that record
+    plan = util.random_plan(np.random.default_rng(5), 3, 3)
+    checks, blocks = {}, {}
+    checker = _StageChecker(plan, checks)
+
+    def on_stage(name, state):
+        checker(name, state)
+        blocks[name] = len(state._stored)
+
+    simulate(compile_circuit(plan), on_stage=on_stage)
+    assert blocks["label"] == 2
+    assert all(check["pass"] for check in checks.values())
 
 
 # ----------------------------------------------------------------------
@@ -1576,6 +1595,21 @@ def owing_features(block, pattern):
     return features
 
 
+def apply_spying_on_splits(state, gate):
+    """Apply ``gate``; returns (block, the block it moved its slice to or
+    None) for each split the gate made."""
+    moved = []
+    real = _Block.split
+
+    def split(block, *args):
+        moved.append((block, real(block, *args)))
+        return moved[-1][1]
+
+    with mock.patch.object(_Block, "split", split):
+        state.apply(gate)
+    return moved
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def check_owing_blocks_against_reference(data):
@@ -1623,10 +1657,13 @@ def check_owing_blocks_against_reference(data):
         inside = resolved is not None and any(
             not z.mask & ~resolved.mask and not (z.bits ^ resolved.bits) & z.mask for z in block.zeroed
         )
-        state.apply(split)
+        moved = apply_spying_on_splits(state, split)
         gates.append(split)
+        assert len(state._stored) == blocks + sum(new is not None for _, new in moved)
         if inside:
-            assert len(state._stored) == blocks  # the slice is zeroed already: nothing moves
+            # the slice is zeroed already, so the block holding the record
+            # moves nothing; a block an earlier split made may still split
+            assert all(new is None for source, new in moved if source is block)
             features.add("inside a zeroed slice")
         elif owed and block.run is not None:
             features.add("through a run and a layer" if layered else "through a run alone")
